@@ -10,7 +10,6 @@ from .combinatorics import (
     Partition,
     SetPartition,
     complementary_partitions,
-    compositions,
     nonneg_compositions,
     partitions_of_size,
     partitions_of_weight,
@@ -53,7 +52,6 @@ __all__ = [
     "SetPartition",
     "partitions_of_size",
     "partitions_of_weight",
-    "compositions",
     "nonneg_compositions",
     "set_partitions",
     "complementary_partitions",

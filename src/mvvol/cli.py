@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -34,7 +33,7 @@ from .volumes import (
     InfeasibleSizeError,
     InvalidStratumError,
     Stratum,
-    prediction,
+    _relative_error,
     principal_volume,
     volume,
 )
@@ -69,18 +68,22 @@ def _cache_path(flag_value: Optional[str]) -> Optional[str]:
     return os.environ.get("MV_CACHE") or flag_value
 
 
-def load_cache(path: str) -> None:
-    """Populate the volume memo from a cache file written by save_cache."""
+def load_cache(path: str) -> set[tuple[int, ...]]:
+    """Populate the volume memo from a cache file written by save_cache.
+
+    Returns the keys the file holds (none if it does not exist yet).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        return
+        return set()
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
     if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
         raise CacheError(f"cache {path} has unsupported version {data.get('version')!r}")
     memo = volumes.volume_cache()
+    loaded = set()
     for key, rec in data.get("entries", {}).items():
         try:
             degrees = tuple(int(t) for t in key.split(",")) if key else ()
@@ -95,6 +98,8 @@ def load_cache(path: str) -> None:
                 f"cache entry {key!r} claims pi-exponent {exp}, expected {sum(degrees) + 2}"
             )
         memo[degrees] = PiValue([(exp, Fraction(num, den))])
+        loaded.add(degrees)
+    return loaded
 
 
 def save_cache(path: str) -> None:
@@ -116,15 +121,16 @@ def _decimal_str(value: PiValue, digits: int) -> str:
     return str(value.to_decimal(digits))
 
 
-def _ratio_decimal(value: PiValue, ref: Fraction, digits: int = 15) -> str:
-    """Signed relative deviation value/ref - 1 at `digits` significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits + 15
-        dev = value.to_decimal(digits + 10) / (
-            Decimal(ref.numerator) / Decimal(ref.denominator)
-        ) - 1
-        ctx.prec = digits
-        return str(+dev)
+def _volume_record(res) -> dict:
+    q, e = res.value.monomial()
+    return {
+        "stratum": res.stratum.key,
+        "num": str(q.numerator),
+        "den": str(q.denominator),
+        "pi_exp": e,
+        "prediction": str(res.prediction),
+        "relative_error": str(res.relative_error),
+    }
 
 
 def _print_volume(res, fmt: str, digits: int) -> None:
@@ -133,16 +139,7 @@ def _print_volume(res, fmt: str, digits: int) -> None:
     elif fmt == "decimal":
         print(_decimal_str(res.value, digits))
     else:
-        q, e = res.value.monomial()
-        record = {
-            "stratum": res.stratum.key,
-            "num": str(q.numerator),
-            "den": str(q.denominator),
-            "pi_exp": e,
-            "prediction": str(res.prediction),
-            "relative_error": str(res.relative_error),
-        }
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(_volume_record(res), sort_keys=True))
 
 
 # -- verbs -------------------------------------------------------------------
@@ -150,7 +147,7 @@ def _print_volume(res, fmt: str, digits: int) -> None:
 
 def _cmd_volume(args) -> int:
     st = parse_stratum(args.stratum)
-    res = volume(st, max_weight=args.max_weight, threads=args.threads)
+    res = volume(st, max_weight=args.max_weight)
     _print_volume(res, args.format, args.digits)
     return 0
 
@@ -161,11 +158,7 @@ def _cmd_principal(args) -> int:
     val = principal_volume(args.genus)
     matches: Optional[bool] = None
     if args.verify:
-        general = volume(
-            Stratum([1] * (2 * args.genus - 2)),
-            max_weight=args.max_weight,
-            threads=args.threads,
-        ).value
+        general = volume(Stratum([1] * (2 * args.genus - 2)), max_weight=args.max_weight).value
         matches = general == val
     if args.format == "exact":
         print(val)
@@ -193,26 +186,11 @@ def _cmd_principal(args) -> int:
 def _cmd_table(args) -> int:
     rows = []
     for total in range(2, args.max_size + 1, 2):
-        genus_rows = []
-        for m in partitions_of_size(total):
-            res = volume(Stratum(m), max_weight=args.max_weight, threads=args.threads)
-            genus_rows.append(res)
+        genus_rows = [volume(Stratum(m), max_weight=args.max_weight)
+                      for m in partitions_of_size(total)]
         rows.append((total, genus_rows))
     if args.format == "json":
-        payload = []
-        for total, genus_rows in rows:
-            for res in genus_rows:
-                q, e = res.value.monomial()
-                payload.append(
-                    {
-                        "stratum": res.stratum.key,
-                        "num": str(q.numerator),
-                        "den": str(q.denominator),
-                        "pi_exp": e,
-                        "prediction": str(res.prediction),
-                        "relative_error": str(res.relative_error),
-                    }
-                )
+        payload = [_volume_record(res) for _, genus_rows in rows for res in genus_rows]
         print(json.dumps(payload, sort_keys=True))
         return 0
     for total, genus_rows in rows:
@@ -251,7 +229,7 @@ def _parse_zeros(text: Optional[str]) -> tuple[int, ...]:
 def _cmd_sv(args) -> int:
     st = parse_stratum(args.stratum)
     zeros = _parse_zeros(args.zeros)
-    kw = {"max_weight": args.max_weight, "threads": args.threads}
+    kw = {"max_weight": args.max_weight}
     kind = args.kind
     if kind == "sc":
         if len(zeros) != 2:
@@ -286,7 +264,7 @@ def _cmd_sv(args) -> int:
     deviation = (
         "n/a"
         if res.predictor == 0 or res.value.is_zero()
-        else _ratio_decimal(res.value, res.predictor)
+        else str(_relative_error(res.value, res.predictor))
     )
     if args.format == "json":
         record = {
@@ -315,7 +293,7 @@ def _cmd_sv(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok, lines = run_selftest(threads=args.threads, max_weight=args.max_weight)
+    ok, lines = run_selftest(max_weight=args.max_weight)
     for line in lines:
         print(line)
     print("selftest: " + ("all criteria passed" if ok else "FAILURES present"))
@@ -338,9 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", default=None, help="JSON volume cache path")
         p.add_argument("--max-weight", type=int, default=volumes.DEFAULT_MAX_WEIGHT,
                        help="feasibility bound on sum of (m_i + 1)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--verify", action="store_true",
-                       help="cross-check against the independent pipeline where available")
 
     p_volume = sub.add_parser("volume", help="volume of one stratum")
     p_volume.add_argument("stratum")
@@ -350,6 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_principal = sub.add_parser("principal", help="principal-stratum volume by closed form")
     p_principal.add_argument("genus", type=int)
     common(p_principal)
+    p_principal.add_argument("--verify", action="store_true",
+                             help="cross-check the closed form against the general pipeline")
     p_principal.set_defaults(func=_cmd_principal)
 
     p_table = sub.add_parser("table", help="volumes for all strata with 2g-2 <= max-size")
@@ -384,10 +361,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     cache_path = _cache_path(args.cache)
     try:
-        if cache_path:
-            load_cache(cache_path)
+        loaded = load_cache(cache_path) if cache_path else set()
         code = args.func(args)
-        if cache_path:
+        # rewrite the file only when this run computed a volume it lacks
+        if cache_path and not loaded.issuperset(volumes.volume_cache()):
             save_cache(cache_path)
         return code
     except InfeasibleSizeError as exc:

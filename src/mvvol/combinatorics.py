@@ -4,8 +4,7 @@ The volume pipeline consumes three combinatorial families:
 
 * integer partitions, graded either by size |lam| or by weight
   wt(lam) = |lam| + len(lam);
-* compositions (ordered tuples) of an integer, with positive or
-  nonnegative entries;
+* compositions (ordered tuples) of an integer with nonnegative entries;
 * reduced set partitions of {1..N}, and for a fixed set partition rho the
   "complementary" ones: alpha with len(alpha) + len(rho) = N + 1 whose
   common refinement-join with rho is the one-block partition.
@@ -27,7 +26,6 @@ __all__ = [
     "Partition",
     "partitions_of_size",
     "partitions_of_weight",
-    "compositions",
     "nonneg_compositions",
     "SetPartition",
     "set_partitions",
@@ -88,35 +86,27 @@ def partitions_of_size(n: int) -> list[Partition]:
     return [Partition(t) for t in _partitions(n, n if n else 1)]
 
 
+def _partitions_with_length(n: int, k: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into exactly k parts <= max_part, largest first part first."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    # the other k - 1 parts need at least 1 each and at most `first` each
+    for first in range(min(n - k + 1, max_part), -(-n // k) - 1, -1):
+        for rest in _partitions_with_length(n - first, k - 1, first):
+            yield (first,) + rest
+
+
 def partitions_of_weight(w: int) -> list[Partition]:
     """All partitions with size + length = w (so w >= 2), shortest first."""
     if w < 2:
         raise ValueError("weight must be at least 2")
-    out: list[Partition] = []
-    for ell in range(1, w // 2 + 1):
-        size = w - ell
-        out.extend(p for p in partitions_of_size(size) if len(p) == ell)
-    return out
-
-
-def compositions(n: int, k: int) -> list[tuple[int, ...]]:
-    """Ordered k-tuples of positive integers summing to n: C(n-1, k-1) many."""
-    if k < 0:
-        raise ValueError("composition length must be nonnegative")
-    if k == 0:
-        return [()] if n == 0 else []
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], rem: int, slots: int) -> None:
-        if slots == 1:
-            if rem >= 1:
-                out.append(prefix + (rem,))
-            return
-        for v in range(1, rem - slots + 2):
-            rec(prefix + (v,), rem - v, slots - 1)
-
-    rec((), n, k)
-    return out
+    return [
+        Partition(t)
+        for ell in range(1, w // 2 + 1)
+        for t in _partitions_with_length(w - ell, ell, w - ell)
+    ]
 
 
 def nonneg_compositions(n: int, k: int) -> list[tuple[int, ...]]:

@@ -1,9 +1,9 @@
 r"""Built-in oracle suite: one check per shipped acceptance criterion.
 
 Each check returns (ok, detail) where detail is deterministic text (never
-timings), so the rendered report is byte-identical across repeated runs,
-thread counts, and cache states.  The CLI `selftest` verb prints one
-PASS/FAIL line per check; the test suite drives the same functions.
+timings), so the rendered report is byte-identical across repeated runs
+and cache states.  The CLI `selftest` verb prints one PASS/FAIL line per
+check; the test suite drives the same functions.
 """
 
 from __future__ import annotations
@@ -47,47 +47,47 @@ def _mono(num: int, den: int, exp: int) -> PiValue:
     return PiValue([(exp, Fraction(num, den))])
 
 
-def _check_minimal(threads: int, max_weight: int) -> tuple[bool, str]:
+def _check_minimal(max_weight: int) -> tuple[bool, str]:
     clear_caches()
     t0 = time.perf_counter()
-    res = volume(Stratum([2]), max_weight=max_weight, threads=threads)
+    res = volume(Stratum([2]), max_weight=max_weight)
     fast = time.perf_counter() - t0 < 1.0
     ok = res.value == _mono(1, 120, 4) and fast
     return ok, f"volume(H(2)) = {res.value}"
 
 
-def _check_principal_two_ways(threads: int, max_weight: int) -> tuple[bool, str]:
+def _check_principal_two_ways(max_weight: int) -> tuple[bool, str]:
     t0 = time.perf_counter()
-    general = volume(Stratum([1, 1]), max_weight=max_weight, threads=threads).value
+    general = volume(Stratum([1, 1]), max_weight=max_weight).value
     closed = principal_volume(2)
     fast = time.perf_counter() - t0 < 1.0
     ok = general == closed == _mono(1, 135, 4) and fast
     return ok, f"volume(H(1,1)) = {general} by both pipelines"
 
 
-def _check_principal_equality(threads: int, max_weight: int) -> tuple[bool, str]:
+def _check_principal_equality(max_weight: int) -> tuple[bool, str]:
     t0 = time.perf_counter()
     results = []
     for g in (3, 4):
-        general = volume(Stratum([1] * (2 * g - 2)), max_weight=max_weight, threads=threads).value
+        general = volume(Stratum([1] * (2 * g - 2)), max_weight=max_weight).value
         results.append(general == principal_volume(g))
     within = time.perf_counter() - t0 < 600.0
     return all(results) and within, "closed form matches general pipeline at g=3,4"
 
 
-def _check_grading(threads: int, max_weight: int) -> tuple[bool, str]:
+def _check_grading(max_weight: int) -> tuple[bool, str]:
     ok = True
     for total in (2, 4, 6):
         for m in partitions_of_size(total):
-            val = volume(Stratum(m), max_weight=max_weight, threads=threads).value
+            val = volume(Stratum(m), max_weight=max_weight).value
             q, e = val.monomial()
             ok = ok and q > 0 and e == total + 2
     return ok, "each volume with 2g-2 <= 6 is a positive rational times pi^(2g)"
 
 
-def _check_error_ordering(threads: int, max_weight: int) -> tuple[bool, str]:
-    principal = volume(Stratum([1, 1, 1, 1]), max_weight=max_weight, threads=threads)
-    minimal = volume(Stratum([4]), max_weight=max_weight, threads=threads)
+def _check_error_ordering(max_weight: int) -> tuple[bool, str]:
+    principal = volume(Stratum([1, 1, 1, 1]), max_weight=max_weight)
+    minimal = volume(Stratum([4]), max_weight=max_weight)
     ok = abs(principal.relative_error) < abs(minimal.relative_error)
     return ok, (
         f"at g=3: |rel.err|(H(1,1,1,1)) = {abs(principal.relative_error)} < "
@@ -95,18 +95,18 @@ def _check_error_ordering(threads: int, max_weight: int) -> tuple[bool, str]:
     )
 
 
-def _check_minimal_trend(threads: int, max_weight: int) -> tuple[bool, str]:
+def _check_minimal_trend(max_weight: int) -> tuple[bool, str]:
     ratios = []
     for g in (2, 3, 4):
-        val = volume(Stratum([2 * g - 2]), max_weight=max_weight, threads=threads).value
+        val = volume(Stratum([2 * g - 2]), max_weight=max_weight).value
         ratios.append(float(val.to_decimal(30)) * (2 * g - 1) / 4)
     ok = all(0.55 < r < 1.0 for r in ratios) and ratios[0] < ratios[1] < ratios[2]
     shown = ", ".join(f"g={g}: {r:.4f}" for g, r in zip((2, 3, 4), ratios))
     return ok, f"volume(H(2g-2))*(2g-1)/4 increasing in (0.55, 1.0): {shown}"
 
 
-def _check_sv_exactness(threads: int, max_weight: int) -> tuple[bool, str]:
-    kw = {"max_weight": max_weight, "threads": threads}
+def _check_sv_exactness(max_weight: int) -> tuple[bool, str]:
+    kw = {"max_weight": max_weight}
     ok = sc_constant(Stratum([1, 1]), 1, 2, **kw).value == _mono(27, 8, 0)
     ok = ok and sc2_principal(2, **kw).value == _mono(5, 8, 0)
     ok = ok and sc_constant(Stratum([0, 2]), 1, 2, **kw).value == _mono(3, 1, 0)
@@ -145,8 +145,8 @@ def _check_sv_exactness(threads: int, max_weight: int) -> tuple[bool, str]:
     return ok, "sc(H(1,1)) = 27/8, sc2(g=2) = 5/8; exponent classes 0 and -2 as required"
 
 
-def _check_decomposition(threads: int, max_weight: int) -> tuple[bool, str]:
-    kw = {"max_weight": max_weight, "threads": threads}
+def _check_decomposition(max_weight: int) -> tuple[bool, str]:
+    kw = {"max_weight": max_weight}
     ok = True
     for total in (2, 4):
         for m in partitions_of_size(total):
@@ -176,11 +176,11 @@ def _joined(alpha_masks: tuple[int, ...], rho_masks: tuple[int, ...]) -> bool:
     return len(comps) == 1
 
 
-def _check_cross_consistency(threads: int, max_weight: int) -> tuple[bool, str]:
+def _check_cross_consistency(max_weight: int) -> tuple[bool, str]:
     ok = True
     for s in range(1, 9):
         for lam in partitions_of_size(s):
-            if multi_bracket([(v,) for v in lam], threads=threads) != single_bracket(lam):
+            if multi_bracket([(v,) for v in lam]) != single_bracket(lam):
                 ok = False
     for n in range(1, 9):
         universe = list(set_partitions(n))
@@ -198,7 +198,7 @@ def _check_cross_consistency(threads: int, max_weight: int) -> tuple[bool, str]:
     return ok, "single-part Wick merge <= 8 and complement enumeration vs filter N <= 8"
 
 
-def _check_identities(threads: int, max_weight: int) -> tuple[bool, str]:
+def _check_identities(max_weight: int) -> tuple[bool, str]:
     ok = True
     for n in range(1, 10):
         parts = partitions_of_size(n)
@@ -218,7 +218,7 @@ def _check_identities(threads: int, max_weight: int) -> tuple[bool, str]:
     return ok, "weighted composition identity k <= n <= 9; Bell counts 1..6"
 
 
-def _check_tripwire(threads: int, max_weight: int) -> tuple[bool, str]:
+def _check_tripwire(max_weight: int) -> tuple[bool, str]:
     ok = True
     for s in range(2, 11):
         for lam in partitions_of_size(s):
@@ -230,29 +230,25 @@ def _check_tripwire(threads: int, max_weight: int) -> tuple[bool, str]:
     return ok, "correction term stays below 2^40 (|m|-1)! for parts >= 2, |m| <= 10"
 
 
-def _render_bundle(threads: int, max_weight: int) -> str:
+def _render_bundle(max_weight: int) -> str:
     lines = []
     for total in (2, 4):
         for m in partitions_of_size(total):
-            res = volume(Stratum(m), max_weight=max_weight, threads=threads)
+            res = volume(Stratum(m), max_weight=max_weight)
             lines.append(f"{res.stratum} {res.value} {res.relative_error}")
-    lines.append(str(sc_constant(Stratum([1, 1]), 1, 2, max_weight=max_weight, threads=threads).value))
-    lines.append(str(cyl1_total(Stratum([2, 2]), max_weight=max_weight, threads=threads).value))
+    lines.append(str(sc_constant(Stratum([1, 1]), 1, 2, max_weight=max_weight).value))
+    lines.append(str(cyl1_total(Stratum([2, 2]), max_weight=max_weight).value))
     return "\n".join(lines)
 
 
-def _check_determinism(threads: int, max_weight: int) -> tuple[bool, str]:
-    outputs = []
-    for t in (1, 4, 16):
-        clear_caches()
-        cold = _render_bundle(t, max_weight)
-        warm = _render_bundle(t, max_weight)
-        outputs.extend((cold, warm))
-    ok = len(set(outputs)) == 1
-    return ok, "volume and SV reports byte-identical across threads 1/4/16, cold and warm"
+def _check_determinism(max_weight: int) -> tuple[bool, str]:
+    clear_caches()
+    cold = _render_bundle(max_weight)
+    warm = _render_bundle(max_weight)
+    return cold == warm, "volume and SV reports byte-identical cold and warm"
 
 
-CHECKS: list[tuple[str, Callable[[int, int], tuple[bool, str]]]] = [
+CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
     ("minimal stratum volume", _check_minimal),
     ("principal volume via two pipelines", _check_principal_two_ways),
     ("principal equality at g=3,4", _check_principal_equality),
@@ -264,16 +260,16 @@ CHECKS: list[tuple[str, Callable[[int, int], tuple[bool, str]]]] = [
     ("module cross-consistency", _check_cross_consistency),
     ("combinatorial identities", _check_identities),
     ("correction-term tripwire bound", _check_tripwire),
-    ("determinism across threads and cache states", _check_determinism),
+    ("determinism across cache states", _check_determinism),
 ]
 
 
-def run_selftest(threads: int = 1, max_weight: int = DEFAULT_MAX_WEIGHT) -> tuple[bool, list[str]]:
+def run_selftest(max_weight: int = DEFAULT_MAX_WEIGHT) -> tuple[bool, list[str]]:
     """Run all checks; returns (all_passed, one report line per check)."""
     lines = []
     all_ok = True
     for idx, (title, fn) in enumerate(CHECKS, 1):
-        ok, detail = fn(threads, max_weight)
+        ok, detail = fn(max_weight)
         all_ok = all_ok and ok
         lines.append(f"{'PASS' if ok else 'FAIL'} criterion {idx:2d} ({title}): {detail}")
     return all_ok, lines

@@ -89,19 +89,13 @@ def _degree(st: Stratum, i: int) -> int:
     return st.degrees[i - 1]
 
 
-def _ratio(numer: StratumLike, denom: Stratum, max_weight: int, threads: int) -> PiValue:
-    top = volume(numer, max_weight=max_weight, threads=threads).value
-    bot = volume(denom, max_weight=max_weight, threads=threads).value
+def _ratio(numer: StratumLike, denom: Stratum, max_weight: int) -> PiValue:
+    top = volume(numer, max_weight=max_weight).value
+    bot = volume(denom, max_weight=max_weight).value
     return top / bot
 
 
-def sc_constant(
-    s: StratumLike,
-    i: int,
-    j: int,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
-) -> SVResult:
+def sc_constant(s: StratumLike, i: int, j: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     """Constant for saddle connections joining distinct zeros i and j."""
     st = _as_stratum(s)
     if i == j:
@@ -111,7 +105,7 @@ def sc_constant(
     for idx in sorted((i - 1, j - 1), reverse=True):
         del merged[idx]
     merged.append(mi + mj)
-    value = (mi + mj + 1) * _ratio(Stratum(merged), st, max_weight, threads)
+    value = (mi + mj + 1) * _ratio(Stratum(merged), st, max_weight)
     return SVResult(
         kind="sc",
         value=value,
@@ -122,11 +116,7 @@ def sc_constant(
     )
 
 
-def sc2_principal(
-    g: int,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
-) -> SVResult:
+def sc2_principal(g: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     """Genus-splitting part of the saddle-connection constant, principal stratum.
 
     Sums over g_1 + g_2 = g the product of the two smaller principal volumes
@@ -140,15 +130,15 @@ def sc2_principal(
     st = Stratum([1] * (2 * g - 2))
     fact = math.factorial
     total = PiValue.zero()
-    whole = volume(st, max_weight=max_weight, threads=threads).value
+    whole = volume(st, max_weight=max_weight).value
     for g1 in range(1, g):
         g2 = g - g1
         a = Fraction(
             fact(2 * g - 4) * fact(4 * g1 - 3) * fact(4 * g2 - 3),
             fact(2 * g1 - 2) * fact(2 * g2 - 2) * fact(4 * g - 5),
         )
-        v1 = volume(Stratum([1] * (2 * g1 - 2)), max_weight=max_weight, threads=threads).value
-        v2 = volume(Stratum([1] * (2 * g2 - 2)), max_weight=max_weight, threads=threads).value
+        v1 = volume(Stratum([1] * (2 * g1 - 2)), max_weight=max_weight).value
+        v2 = volume(Stratum([1] * (2 * g2 - 2)), max_weight=max_weight).value
         total += (v1 * v2 / whole) * a
     return SVResult(
         kind="sc2",
@@ -164,7 +154,6 @@ def loop_per_angle(
     i: int,
     j: int,
     max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
 ) -> SVResult:
     """Saddle loops at zero i splitting its angle at position j in 1..m_i-1.
 
@@ -189,7 +178,7 @@ def loop_per_angle(
     del rest[i - 1]
     rest.extend((b1, b2))
     sym = 2 if b1 == b2 else 1
-    value = _ratio(Stratum(rest), st, max_weight, threads) * Fraction((b1 + 1) * (b2 + 1), sym)
+    value = _ratio(Stratum(rest), st, max_weight) * Fraction((b1 + 1) * (b2 + 1), sym)
     return SVResult(
         kind="loop_per_angle",
         value=value,
@@ -201,19 +190,14 @@ def loop_per_angle(
     )
 
 
-def loop_constant(
-    s: StratumLike,
-    i: int,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
-) -> SVResult:
+def loop_constant(s: StratumLike, i: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     """All saddle loops at zero i: per-angle constants summed over unordered
     angle pairs (j and m_i - j give the same configuration)."""
     st = _as_stratum(s)
     mi = _degree(st, i)
     total = PiValue.zero()
     for j in range(1, mi // 2 + 1):
-        total += loop_per_angle(st, i, j, max_weight=max_weight, threads=threads).value
+        total += loop_per_angle(st, i, j, max_weight=max_weight).value
     return SVResult(
         kind="loop",
         value=total,
@@ -224,13 +208,7 @@ def loop_constant(
     )
 
 
-def cyl_constant(
-    s: StratumLike,
-    i: int,
-    j: int,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
-) -> SVResult:
+def cyl_constant(s: StratumLike, i: int, j: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     """Multiplicity-one cylinders with one boundary saddle connection on
     zero i and one on zero j (distinct, both of positive degree)."""
     st = _as_stratum(s)
@@ -246,7 +224,7 @@ def cyl_constant(
         del rest[idx]
     rest.extend((mi - 1, mj - 1))
     dim = st.dim_complex
-    value = _ratio(Stratum(rest), st, max_weight, threads) * Fraction(mi * mj, dim - 2)
+    value = _ratio(Stratum(rest), st, max_weight) * Fraction(mi * mj, dim - 2)
     return SVResult(
         kind="cyl",
         value=value,
@@ -257,12 +235,7 @@ def cyl_constant(
     )
 
 
-def handle_constant(
-    s: StratumLike,
-    i: int,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
-) -> SVResult:
+def handle_constant(s: StratumLike, i: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     """Multiplicity-one cylinders forming a handle with both boundary saddle
     connections on the single zero i; exactly 0 on simple zeros."""
     st = _as_stratum(s)
@@ -281,7 +254,7 @@ def handle_constant(
     rest = list(st.degrees)
     del rest[i - 1]
     rest.append(mi - 2)
-    value = _ratio(Stratum(rest), st, max_weight, threads) * Fraction((mi - 1) ** 2, 2 * (dim - 2))
+    value = _ratio(Stratum(rest), st, max_weight) * Fraction((mi - 1) ** 2, 2 * (dim - 2))
     return SVResult(
         kind="handle",
         value=value,
@@ -292,11 +265,7 @@ def handle_constant(
     )
 
 
-def cyl1_total(
-    s: StratumLike,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
-) -> SVResult:
+def cyl1_total(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     """All multiplicity-one cylinders: every unordered zero pair plus every
     single-zero handle.  Large-genus predictor ((D-2) - 1/(D-2)) / 2 with
     D the complex dimension."""
@@ -307,8 +276,8 @@ def cyl1_total(
     total = PiValue.zero()
     for i in range(1, npos + 1):
         for j in range(i + 1, npos + 1):
-            total += cyl_constant(st, i, j, max_weight=max_weight, threads=threads).value
-        total += handle_constant(st, i, max_weight=max_weight, threads=threads).value
+            total += cyl_constant(st, i, j, max_weight=max_weight).value
+        total += handle_constant(st, i, max_weight=max_weight).value
     d2 = st.dim_complex - 2
     return SVResult(
         kind="cyl1",
@@ -319,15 +288,11 @@ def cyl1_total(
     )
 
 
-def area1_constant(
-    s: StratumLike,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
-) -> SVResult:
+def area1_constant(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     """Area constant of multiplicity-one cylinders: cyl1_total / (dim - 1).
     Tends to 1/2 for large genus."""
     st = _as_stratum(s)
-    inner = cyl1_total(st, max_weight=max_weight, threads=threads)
+    inner = cyl1_total(st, max_weight=max_weight)
     return SVResult(
         kind="area1",
         value=inner.value / (st.dim_complex - 1),

@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Union
 
-from . import bracket, wick
+from . import bracket, exact_arith, f_expansion, wick
 from .combinatorics import Partition, partitions_of_size
 from .exact_arith import PiValue, frak_z
 from .f_expansion import capital_f
@@ -89,7 +89,7 @@ class Stratum:
     def __init__(self, degrees: Iterable[int]):
         degs = []
         for d in degrees:
-            if not isinstance(d, int) or d < 0:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise InvalidStratumError(f"zero degrees must be nonnegative integers: {d!r}")
             degs.append(d)
         if sum(degs) % 2 != 0:
@@ -156,7 +156,7 @@ _C_CACHE: dict[tuple[int, ...], PiValue] = {}
 _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
 
 
-def c_value(m: Iterable[int], threads: int = 1) -> PiValue:
+def c_value(m: Iterable[int]) -> PiValue:
     """Normalized correlator of the incremented degree multiset.
 
     m must be a nonempty multiset of positive integers.  Memoized; the
@@ -184,7 +184,7 @@ def c_value(m: Iterable[int], threads: int = 1) -> PiValue:
     total = PiValue.zero()
     for tup, coeff in grouped.items():
         if coeff:
-            total += wick.multi_bracket(tup, threads=threads) * coeff
+            total += wick.multi_bracket(tup) * coeff
 
     denom = math.factorial(sum(key))
     for v in key:
@@ -213,11 +213,7 @@ def _relative_error(value: PiValue, predicted: Fraction, digits: int = 15) -> De
         return +eps
 
 
-def volume(
-    s: StratumLike,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    threads: int = 1,
-) -> VolumeResult:
+def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult:
     """Exact normalized volume of the stratum with the given zero degrees.
 
     Raises InvalidStratumError for bad degrees and InfeasibleSizeError when
@@ -236,7 +232,7 @@ def volume(
             weight = sum(d + 1 for d in stripped)
             if weight > max_weight:
                 raise InfeasibleSizeError(weight, max_weight)
-            value = 2 * c_value([d + 1 for d in stripped], threads=threads)
+            value = 2 * c_value([d + 1 for d in stripped])
         else:
             value = 2 * c_value((1,))  # torus convention: H() and H(0,...)
         q, e = value.monomial()
@@ -285,11 +281,15 @@ def principal_volume(g: int) -> PiValue:
 
 
 def clear_caches() -> None:
-    """Drop every memo table in the pipeline (volumes, Wick, brackets)."""
+    """Drop every memo table in the pipeline: volumes, c_value, Wick sums,
+    brackets, capital_f expansions, and the Bernoulli and zeta values."""
     _C_CACHE.clear()
     _VOLUME_CACHE.clear()
     wick.clear_cache()
     bracket.clear_cache()
+    for memo in (f_expansion._capital_f_items, exact_arith.bernoulli,
+                 exact_arith.zeta_even, exact_arith.frak_z):
+        memo.cache_clear()
 
 
 def volume_cache() -> dict[tuple[int, ...], PiValue]:

@@ -14,16 +14,12 @@ is homogeneous of pi-exponent S + L - 2n + 2 with S the total size of the
 arguments, so the result is again a monomial (or zero).
 
 The complement sum streams lazily; a block evaluating to zero aborts its
-summand early.  With more than one worker thread the complements are
-consumed in batches whose partial sums are exact, so the total is identical
-for every thread count.  Values are memoized on the sorted argument tuple
-(the correlator is symmetric in its arguments).
+summand early.  Values are memoized on the sorted argument tuple (the
+correlator is symmetric in its arguments).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from typing import Iterable, Sequence
 
 from .bracket import single_bracket
@@ -70,7 +66,7 @@ def _term(slot_map: LabeledSlotMap, alpha: SetPartition) -> PiValue:
     return prod
 
 
-def multi_bracket(args: Iterable[Iterable[int]], threads: int = 1) -> PiValue:
+def multi_bracket(args: Iterable[Iterable[int]]) -> PiValue:
     """Exact correlator of several partitions; symmetric and memoized."""
     global _TERMS_SEEN
     key = tuple(sorted(Partition(a) for a in args))
@@ -81,34 +77,10 @@ def multi_bracket(args: Iterable[Iterable[int]], threads: int = 1) -> PiValue:
         return cached
 
     slot_map = LabeledSlotMap(key)
-    complements = complementary_partitions(slot_map.rho)
     total = PiValue.zero()
-    if threads <= 1:
-        for alpha in complements:
-            total += _term(slot_map, alpha)
-            _TERMS_SEEN += 1
-    else:
-        def batch_sum(batch: list[SetPartition]) -> tuple[PiValue, int]:
-            acc = PiValue.zero()
-            for alpha in batch:
-                acc += _term(slot_map, alpha)
-            return acc, len(batch)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while True:
-                wave = []
-                for _ in range(threads):
-                    batch = list(islice(complements, 64))
-                    if not batch:
-                        break
-                    wave.append(pool.submit(batch_sum, batch))
-                if not wave:
-                    break
-                for fut in wave:
-                    part, seen = fut.result()
-                    total += part
-                    _TERMS_SEEN += seen
-
+    for alpha in complementary_partitions(slot_map.rho):
+        total += _term(slot_map, alpha)
+        _TERMS_SEEN += 1
     _CACHE[key] = total
     return total
 

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 
 import pytest
@@ -87,12 +88,14 @@ def test_exit_code_bad_token(capsys):
     assert code == 2
 
 
-def test_threads_flag_does_not_change_output(capsys):
-    clear_caches()
-    _, serial, _ = run(["volume", "2,1,1"], capsys)
-    clear_caches()
-    _, threaded, _ = run(["volume", "2,1,1", "--threads", "4"], capsys)
-    assert serial == threaded
+def test_removed_flags_rejected(capsys):
+    # --threads is gone from every verb; --verify belongs to principal only
+    for argv in (["volume", "2", "--threads", "4"], ["volume", "2", "--verify"],
+                 ["table", "--verify"], ["sv", "1,1", "--kind", "cyl1", "--verify"],
+                 ["selftest", "--threads", "1"], ["principal", "2", "--threads", "1"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
 
 
 # -- principal verb ----------------------------------------------------------------
@@ -225,6 +228,23 @@ def test_cache_round_trip(tmp_path, capsys):
     assert path.read_bytes() == first
 
 
+def test_warm_run_leaves_cache_untouched(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    clear_caches()
+    code, _, _ = run(["volume", "1,1", "--cache", str(path)], capsys)
+    assert code == 0
+    assert json.loads(path.read_text())["entries"]["1,1"]["den"] == "135"
+    # backdate the file so any rewrite shows in its mtime
+    os.utime(path, ns=(10**18, 10**18))
+    before = path.read_bytes()
+    clear_caches()
+    code, out, _ = run(["volume", "1,1", "--cache", str(path)], capsys)
+    assert code == 0
+    assert out == "1/135 * pi^4\n"
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == 10**18
+
+
 def test_cache_keys_sorted(tmp_path, capsys):
     path = tmp_path / "vols.json"
     clear_caches()
@@ -277,7 +297,7 @@ def test_env_var_overrides_cache_flag(tmp_path, capsys, monkeypatch):
 def test_selftest_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_selftest",
-        lambda threads, max_weight: (False, ["FAIL criterion  1 (stub): boom"]),
+        lambda max_weight: (False, ["FAIL criterion  1 (stub): boom"]),
     )
     code, out, _ = run(["selftest"], capsys)
     assert code == 4
@@ -287,7 +307,7 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
 def test_selftest_pass_output_shape(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_selftest",
-        lambda threads, max_weight: (True, ["PASS criterion  1 (stub): fine"]),
+        lambda max_weight: (True, ["PASS criterion  1 (stub): fine"]),
     )
     code, out, _ = run(["selftest"], capsys)
     assert code == 0

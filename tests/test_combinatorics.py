@@ -7,7 +7,6 @@ from mvvol.combinatorics import (
     Partition,
     SetPartition,
     complementary_partitions,
-    compositions,
     nonneg_compositions,
     partitions_of_size,
     partitions_of_weight,
@@ -108,21 +107,16 @@ def test_partitions_of_weight_matches_definition():
         for n in range(0, w):
             want |= {t for t in brute_partitions(n) if n + len(t) == w}
         assert set(map(tuple, got)) == want
+    # exact list and order against filtering all partitions of each size
+    for w in range(2, 25):
+        want = []
+        for ell in range(1, w // 2 + 1):
+            want.extend(p for p in partitions_of_size(w - ell) if len(p) == ell)
+        got = partitions_of_weight(w)
+        assert got == want, w
+        assert all(type(p) is Partition for p in got)
     with pytest.raises(ValueError):
         partitions_of_weight(1)
-
-
-def test_compositions_counts_and_membership():
-    for n in range(1, 10):
-        seen_total = 0
-        for k in range(1, n + 1):
-            comps = compositions(n, k)
-            assert len(comps) == math.comb(n - 1, k - 1)
-            assert len(set(comps)) == len(comps)
-            for c in comps:
-                assert len(c) == k and sum(c) == n and min(c) >= 1
-            seen_total += len(comps)
-        assert seen_total == 2 ** (n - 1)
 
 
 def test_nonneg_compositions_counts_and_membership():

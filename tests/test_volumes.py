@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvvol import exact_arith, f_expansion
 from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
 from mvvol.volumes import (
@@ -54,6 +55,8 @@ def test_stratum_validation():
         Stratum([-2])
     with pytest.raises(InvalidStratumError):
         Stratum([1.0, 1.0])  # non-integers
+    with pytest.raises(InvalidStratumError):
+        Stratum([True, True])  # bools are ints, but not degrees
 
 
 def test_stratum_equality_hash():
@@ -119,6 +122,16 @@ def test_volume_result_fields():
     assert res.pi_exponent == 4
     assert res.terms_evaluated > 0
     assert res.elapsed >= 0.0
+
+
+def test_clear_caches_empties_every_memo():
+    memos = (exact_arith.bernoulli, exact_arith.zeta_even, exact_arith.frak_z,
+             f_expansion._capital_f_items)
+    clear_caches()
+    volume(Stratum([4]))
+    assert all(m.cache_info().currsize > 0 for m in memos)
+    clear_caches()
+    assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
 
 
 def test_relative_error_frozen():

@@ -88,19 +88,6 @@ def test_parity_zero():
     assert multi_bracket([(1,), (1, 1)]).is_zero() is False
 
 
-def test_threads_match_single_worker():
-    args = [(3, 1), (2, 2), (1, 1)]
-    wick.clear_cache()
-    import mvvol.bracket as bracket
-
-    bracket.clear_cache()
-    serial = multi_bracket(args, threads=1)
-    wick.clear_cache()
-    bracket.clear_cache()
-    threaded = multi_bracket(args, threads=4)
-    assert serial == threaded
-
-
 def test_memo_and_term_counter():
     wick.clear_cache()
     assert term_count() == 0
