@@ -15,9 +15,15 @@ running over the nonnegative length-len(alpha) compositions of
 len(alpha) - 2.  Every surviving term has pi-exponent |m| - n + 2, so the
 result is a monomial (or zero when |m| - n is odd).
 
+Because that exponent is fixed by the grading, the sums run on bare
+Fractions (the rational coefficients of frak_z) and pi is attached once per
+public call.  coefficient() is the rational hot-path entry used by the Wick
+expansion; its memo holds the coefficient of every multiset seen so far,
+keyed on the sorted multiset, and a miss calls error_term once.
+
 The d-tuples are enumerated per block against the parity and range needed
 for frak_z to be nonzero, which prunes most branches before any factorial
-work; the value is memoized on the sorted multiset.
+work.
 """
 
 from __future__ import annotations
@@ -29,9 +35,12 @@ from typing import Iterable, Sequence
 from .combinatorics import set_partitions
 from .exact_arith import PiValue, frak_z
 
-__all__ = ["single_bracket", "error_term", "clear_cache"]
+__all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
 
-_CACHE: dict[tuple[int, ...], PiValue] = {}
+# sorted multiset -> rational coefficient of pi^(|m| - n + 2)
+_CACHE: dict[tuple[int, ...], Fraction] = {}
+# sorted multiset -> the PiValue single_bracket hands out for it
+_VALUES: dict[tuple[int, ...], PiValue] = {}
 
 
 def _canonical(m: Iterable[int]) -> tuple[int, ...]:
@@ -43,37 +52,39 @@ def _canonical(m: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-def _block_term_sum(stats: Sequence[tuple[int, int]], total: int) -> PiValue:
-    """Sum over admissible d of prod_i s_i!/d_i! * frak_z(s_i - c_i - d_i + 1).
+def _z(k: int) -> Fraction:
+    """Rational coefficient of frak_z(k), i.e. of pi^k (zero for odd k)."""
+    return frak_z(k).coefficient(k)
 
-    stats holds (s_i, c_i) per block; total = len(alpha) - 2.  d_i is only
-    useful when s_i - c_i - d_i + 1 is even and >= 0, i.e. d_i has fixed
-    parity and d_i <= s_i - c_i + 1.
+
+def _block_term_sum(stats: Sequence[tuple[int, int]], total: int) -> Fraction:
+    """Sum over admissible d of prod_i s_i!/d_i! * z(s_i - c_i - d_i + 1).
+
+    stats holds (s_i, c_i) per block; total = len(alpha) - 2; z is the
+    rational coefficient of frak_z.  d_i is only useful when
+    s_i - c_i - d_i + 1 is even and >= 0, i.e. d_i has fixed parity and
+    d_i <= s_i - c_i + 1.
     """
     per_block: list[list[tuple[int, Fraction]]] = []
     for s, c in stats:
         top = s - c + 1
         opts = []
         for d in range(top % 2, min(top, total) + 1, 2):
-            z = frak_z(top - d)
-            if not z.is_zero():
-                opts.append((d, Fraction(math.factorial(s), math.factorial(d)) * z.monomial()[0]))
+            z = _z(top - d)
+            if z:
+                opts.append((d, Fraction(math.factorial(s), math.factorial(d)) * z))
         if not opts:
-            return PiValue.zero()
+            return Fraction(0)
         per_block.append(opts)
 
-    exponent = sum(s - c + 1 for s, c in stats) - total  # even iff nonzero survives
     acc = Fraction(0)
 
     def rec(i: int, rem: int, coeff: Fraction) -> None:
         nonlocal acc
         if i == len(per_block) - 1:
-            top = stats[i][0] - stats[i][1] + 1
-            if rem <= min(top, total) and rem % 2 == top % 2:
-                z = frak_z(top - rem)
-                if not z.is_zero():
-                    s = stats[i][0]
-                    acc += coeff * Fraction(math.factorial(s), math.factorial(rem)) * z.monomial()[0]
+            for d, q in per_block[i]:
+                if d == rem:
+                    acc += coeff * q
             return
         min_rest = sum(opts[0][0] for opts in per_block[i + 1:])
         for d, q in per_block[i]:
@@ -82,40 +93,49 @@ def _block_term_sum(stats: Sequence[tuple[int, int]], total: int) -> PiValue:
             rec(i + 1, rem - d, coeff * q)
 
     rec(0, total, Fraction(1))
-    if not acc:
-        return PiValue.zero()
-    return PiValue.from_rational(acc, exponent)
+    return acc
 
 
 def error_term(m: Iterable[int]) -> PiValue:
     """Correction to the leading frak_z term of single_bracket(m)."""
     mm = _canonical(m)
     n = len(mm)
-    total = PiValue.zero()
+    total = Fraction(0)
     for alpha in set_partitions(n):
         ell = len(alpha)
         if ell < 2:
             continue
         stats = tuple((sum(mm[x - 1] for x in b), len(b)) for b in alpha)
         inner = _block_term_sum(stats, ell - 2)
-        if inner.is_zero():
-            continue
-        sign = -1 if ell % 2 == 0 else 1
-        total += inner * (sign * math.factorial(ell - 2))
-    return total
+        if inner:
+            sign = -1 if ell % 2 == 0 else 1
+            total += inner * (sign * math.factorial(ell - 2))
+    return PiValue.from_graded(total, sum(mm) - n + 2)
+
+
+def coefficient(mm: tuple[int, ...]) -> Fraction:
+    """Rational coefficient of single_bracket(mm) at pi^(|mm| - len(mm) + 2).
+
+    mm must already be canonical: a nonempty tuple of positive ints sorted
+    in decreasing order.  Memoized; a miss calls error_term once.
+    """
+    q = _CACHE.get(mm)
+    if q is None:
+        exponent = sum(mm) - len(mm) + 2
+        q = math.factorial(sum(mm)) * _z(exponent) + error_term(mm).coefficient(exponent)
+        _CACHE[mm] = q
+    return q
 
 
 def single_bracket(m: Iterable[int]) -> PiValue:
     """Exact correlator of the multiset m; memoized on the sorted multiset."""
     mm = _canonical(m)
-    cached = _CACHE.get(mm)
-    if cached is not None:
-        return cached
-    lead = frak_z(sum(mm) - len(mm) + 2) * math.factorial(sum(mm))
-    value = lead + error_term(mm)
-    _CACHE[mm] = value
+    value = _VALUES.get(mm)
+    if value is None:
+        value = _VALUES[mm] = PiValue.from_graded(coefficient(mm), sum(mm) - len(mm) + 2)
     return value
 
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _VALUES.clear()

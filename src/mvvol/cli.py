@@ -87,11 +87,14 @@ def load_cache(path: str) -> set[tuple[int, ...]]:
     for key, rec in data.get("entries", {}).items():
         try:
             degrees = tuple(int(t) for t in key.split(",")) if key else ()
+            canonical = Stratum(degrees).key  # InvalidStratumError is a ValueError
             num, den = int(rec["num"]), int(rec["den"])
             exp = int(rec["pi_exp"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CacheError(f"malformed cache entry {key!r} in {path}") from exc
-        if any(d <= 0 for d in degrees) or num <= 0 or den <= 0:
+        if key != canonical:
+            raise CacheError(f"cache entry {key!r} in {path} is not the canonical key {canonical!r}")
+        if num <= 0 or den <= 0:
             raise CacheError(f"malformed cache entry {key!r} in {path}")
         if exp != sum(degrees) + 2:
             raise CacheError(
@@ -228,9 +231,13 @@ def _parse_zeros(text: Optional[str]) -> tuple[int, ...]:
 
 def _cmd_sv(args) -> int:
     st = parse_stratum(args.stratum)
+    kind = args.kind
+    if args.zeros is not None and kind in ("sc2", "cyl1", "area1"):
+        raise InvalidStratumError(f"--kind {kind} takes no --zeros")
+    if args.angle is not None and kind != "loop_per_angle":
+        raise InvalidStratumError(f"--kind {kind} takes no --angle")
     zeros = _parse_zeros(args.zeros)
     kw = {"max_weight": args.max_weight}
-    kind = args.kind
     if kind == "sc":
         if len(zeros) != 2:
             raise InvalidStratumError("--kind sc needs --zeros i,j")
@@ -303,6 +310,20 @@ def _cmd_selftest(args) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
+def _int_in(lo: int, hi: Optional[int] = None):
+    """argparse type: an int in [lo, hi], checked before any computation."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"between {lo} and {hi}" if hi is not None else f"at least {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvvol",
@@ -312,9 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("exact", "decimal", "json"), default="exact")
-        p.add_argument("--digits", type=int, default=50, help="decimal digits (<= 100)")
+        p.add_argument("--digits", type=_int_in(1, 100), default=50, help="decimal digits (1..100)")
         p.add_argument("--cache", default=None, help="JSON volume cache path")
-        p.add_argument("--max-weight", type=int, default=volumes.DEFAULT_MAX_WEIGHT,
+        p.add_argument("--max-weight", type=_int_in(1), default=volumes.DEFAULT_MAX_WEIGHT,
                        help="feasibility bound on sum of (m_i + 1)")
 
     p_volume = sub.add_parser("volume", help="volume of one stratum")

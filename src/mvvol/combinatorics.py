@@ -151,6 +151,11 @@ class SetPartition(tuple):
             raise ValueError(f"blocks must cover 1..N, got {sorted(seen)}")
         return super().__new__(cls, blks)
 
+    @classmethod
+    def _canonical(cls, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Wrap blocks already in canonical form, skipping the checks."""
+        return tuple.__new__(cls, blocks)
+
     @property
     def universe_size(self) -> int:
         return sum(len(b) for b in self)
@@ -174,7 +179,8 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
     """All reduced set partitions of {1..n}, lazily, in canonical order.
 
     Generated as restricted-growth assignments, so blocks appear ordered by
-    minimum automatically.  Counts are the Bell numbers 1, 1, 2, 5, 15, ...
+    minimum and sorted automatically, and are yielded without re-validation.
+    Counts are the Bell numbers 1, 1, 2, 5, 15, ...
     """
     if n < 0:
         raise ValueError("set partitions need n >= 0")
@@ -185,7 +191,7 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
 
     def rec(e: int) -> Iterator[SetPartition]:
         if e > n:
-            yield SetPartition(tuple(tuple(b) for b in blocks))
+            yield SetPartition._canonical(tuple(tuple(b) for b in blocks))
             return
         for b in blocks:
             b.append(e)
@@ -204,7 +210,9 @@ def complementary_partitions(rho: Iterable[Sequence[int]]) -> Iterator[SetPartit
     Complementary means len(alpha) = N + 1 - len(rho) and the join of alpha
     and rho (finest common coarsening) is the single-block partition.  Such
     alpha are automatically transverse to rho: every alpha-block meets every
-    rho-block at most once.
+    rho-block at most once.  rho is validated once; the yielded blocks are
+    canonical by construction (elements are placed in increasing order), so
+    they are not re-validated.
     """
     rho_blocks = SetPartition(rho)
     n = rho_blocks.universe_size
@@ -248,7 +256,7 @@ def complementary_partitions(rho: Iterable[Sequence[int]]) -> Iterator[SetPartit
 
     def rec(e: int) -> Iterator[SetPartition]:
         if e > n:
-            yield SetPartition(tuple(tuple(b) for b in blocks))
+            yield SetPartition._canonical(tuple(tuple(b) for b in blocks))
             return
         if len(blocks) + (n - e + 1) < k_target:
             return  # too few elements left to open the required blocks

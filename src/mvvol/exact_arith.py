@@ -82,6 +82,12 @@ class PiValue:
     def from_rational(cls, q: RationalLike, exponent: int = 0) -> "PiValue":
         return cls([(exponent, q)])
 
+    @classmethod
+    def from_graded(cls, q: RationalLike, exponent: int) -> "PiValue":
+        """q * pi^exponent where a grading fixes the exponent: zero when q
+        is zero, whose exponent may then be odd (its terms all vanished)."""
+        return cls([(exponent, q)]) if q else cls()
+
     # -- structure --------------------------------------------------------
 
     @property

@@ -115,7 +115,7 @@ class Stratum:
 
     @property
     def key(self) -> str:
-        return ",".join(str(d) for d in self.stripped)
+        return ",".join([str(d) for d in self.degrees if d > 0])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Stratum):
@@ -161,7 +161,8 @@ def c_value(m: Iterable[int]) -> PiValue:
 
     m must be a nonempty multiset of positive integers.  Memoized; the
     multilinear expansion groups equal partition tuples so each distinct
-    Wick evaluation runs once.
+    Wick evaluation runs once, and sums their rational coefficients before
+    attaching pi once.
     """
     key = tuple(sorted((int(v) for v in m), reverse=True))
     if not key:
@@ -181,15 +182,17 @@ def c_value(m: Iterable[int]) -> PiValue:
             coeff *= q
         grouped[tup] = grouped.get(tup, Fraction(0)) + coeff
 
-    total = PiValue.zero()
+    # every Wick value here is a monomial in pi^(|a| - n + 2), by grading
+    exponent = sum(key) - len(key) + 2
+    total = Fraction(0)
     for tup, coeff in grouped.items():
         if coeff:
-            total += wick.multi_bracket(tup) * coeff
+            total += wick.multi_bracket(tup).coefficient(exponent) * coeff
 
     denom = math.factorial(sum(key))
     for v in key:
         denom *= v
-    value = total / denom
+    value = PiValue.from_graded(total / denom, exponent)
     _C_CACHE[key] = value
     return value
 

@@ -13,23 +13,31 @@ where slot L_{j-1} + i carries the part lam_j[i].  Each surviving summand
 is homogeneous of pi-exponent S + L - 2n + 2 with S the total size of the
 arguments, so the result is again a monomial (or zero).
 
-The complement sum streams lazily; a block evaluating to zero aborts its
-summand early.  Values are memoized on the sorted argument tuple (the
-correlator is symmetric in its arguments).
+Since that exponent is fixed, each summand is a product of bare Fractions
+(bracket.coefficient of every block) and the running sum is a Fraction; pi
+is attached once per memo miss.  The complement sum streams lazily; a block
+with a zero coefficient aborts its summand early.  Values are memoized on
+the sorted argument tuple (the correlator is symmetric in its arguments).
+
+term_count() is the number of complement summands the calling thread (more
+precisely, the calling context) has evaluated since it last cleared the
+cache; it counts summands whose arguments are odd-graded too.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bracket import single_bracket
+from .bracket import coefficient
 from .combinatorics import Partition, SetPartition, complementary_partitions
 from .exact_arith import PiValue
 
 __all__ = ["LabeledSlotMap", "multi_bracket", "clear_cache", "term_count"]
 
 _CACHE: dict[tuple[Partition, ...], PiValue] = {}
-_TERMS_SEEN = 0
+_TERMS_SEEN: ContextVar[int] = ContextVar("mvvol_wick_terms_seen", default=0)
 
 
 class LabeledSlotMap:
@@ -56,19 +64,8 @@ class LabeledSlotMap:
         return tuple(self.slot_values[u - 1] for u in block)
 
 
-def _term(slot_map: LabeledSlotMap, alpha: SetPartition) -> PiValue:
-    prod = PiValue.from_rational(1)
-    for block in alpha:
-        factor = single_bracket(slot_map.values_in(block))
-        if factor.is_zero():
-            return PiValue.zero()
-        prod = prod * factor
-    return prod
-
-
 def multi_bracket(args: Iterable[Iterable[int]]) -> PiValue:
     """Exact correlator of several partitions; symmetric and memoized."""
-    global _TERMS_SEEN
     key = tuple(sorted(Partition(a) for a in args))
     if not key:
         raise ValueError("multi_bracket needs at least one argument")
@@ -77,20 +74,33 @@ def multi_bracket(args: Iterable[Iterable[int]]) -> PiValue:
         return cached
 
     slot_map = LabeledSlotMap(key)
-    total = PiValue.zero()
+    slots = slot_map.slot_values
+    values = (0,) + slots  # slot labels are 1-based
+    total = Fraction(0)
+    terms = 0
     for alpha in complementary_partitions(slot_map.rho):
-        total += _term(slot_map, alpha)
-        _TERMS_SEEN += 1
-    _CACHE[key] = total
-    return total
+        terms += 1
+        prod = Fraction(1)
+        for block in alpha:
+            q = coefficient(tuple(sorted([values[u] for u in block], reverse=True)))
+            if not q:
+                break
+            prod *= q
+        else:
+            total += prod
+    _TERMS_SEEN.set(_TERMS_SEEN.get() + terms)
+
+    exponent = sum(slots) + len(slots) - 2 * len(key) + 2
+    value = PiValue.from_graded(total, exponent)
+    _CACHE[key] = value
+    return value
 
 
 def term_count() -> int:
-    """Total complement summands evaluated so far (diagnostic only)."""
-    return _TERMS_SEEN
+    """Complement summands evaluated so far in this context (diagnostic only)."""
+    return _TERMS_SEEN.get()
 
 
 def clear_cache() -> None:
-    global _TERMS_SEEN
     _CACHE.clear()
-    _TERMS_SEEN = 0
+    _TERMS_SEEN.set(0)

@@ -208,6 +208,77 @@ def test_sv_missing_zeros(capsys):
     assert code == 2
 
 
+# each kind with a flag it does not use; loop_per_angle uses both
+SV_IGNORED_FLAGS = {
+    "sc": ["3,1", "--zeros", "1,2", "--angle", "1"],
+    "sc2": ["1,1", "--zeros", "1,2"],
+    "loop": ["3,1", "--zeros", "1", "--angle", "1"],
+    "cyl": ["3,1", "--zeros", "1,2", "--angle", "1"],
+    "handle": ["3,1", "--zeros", "1", "--angle", "1"],
+    "cyl1": ["1,1", "--zeros", "1,2"],
+    "area1": ["1,1", "--zeros", "1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SV_IGNORED_FLAGS))
+def test_sv_rejects_flags_its_kind_ignores(kind, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a volume for a refused request")
+
+    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
+    stratum, *flags = SV_IGNORED_FLAGS[kind]
+    code, out, err = run(["sv", stratum, "--kind", kind, *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and kind in err
+
+
+def test_sv_loop_per_angle_takes_zeros_and_angle(capsys):
+    code, _, _ = run(["sv", "3,1", "--kind", "loop_per_angle", "--zeros", "1",
+                      "--angle", "1"], capsys)
+    assert code == 0
+    code, _, err = run(["sv", "3,1", "--kind", "cyl1", "--angle", "1"], capsys)
+    assert code == 2
+    assert "--angle" in err
+
+
+# -- parse-time bounds on numeric flags -------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "1,1", "--format", "decimal", "--digits", "0"],
+    ["volume", "1,1", "--digits", "101"],
+    ["table", "--digits", "0"],
+    ["sv", "1,1", "--kind", "cyl1", "--format", "decimal", "--digits", "-3"],
+    ["volume", "2", "--max-weight", "-1"],
+    ["table", "--max-weight", "0"],
+    ["principal", "2", "--verify", "--max-weight", "-5"],
+])
+def test_numeric_flags_checked_before_any_computation(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a volume for a refused request")
+
+    for name in ("volume", "principal_volume"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: argument --" in err
+
+
+def test_numeric_flag_bounds_are_inclusive(capsys):
+    code, out, _ = run(["volume", "2", "--format", "decimal", "--digits", "1"], capsys)
+    assert (code, out) == (0, "0.8\n")
+    code, out, _ = run(["volume", "2", "--format", "decimal", "--digits", "100"], capsys)
+    assert code == 0 and len(out.strip()) == 102
+    clear_caches()  # the weight bound applies to fresh computations only
+    code, _, _ = run(["volume", "1,1", "--max-weight", "1"], capsys)
+    assert code == 3
+    code, _, _ = run(["volume", "1,1", "--max-weight", "4"], capsys)
+    assert code == 0
+
+
 # -- cache file ---------------------------------------------------------------------
 
 
@@ -271,6 +342,30 @@ def test_cache_bad_exponent_rejected(tmp_path, capsys):
     code, _, err = run(["volume", "2", "--cache", str(path)], capsys)
     assert code == 2
     assert "pi-exponent" in err
+
+
+@pytest.mark.parametrize("key, rec", [
+    # odd degree sum: formerly a bare ValueError from the pi-exponent check
+    ("1", {"num": "1", "den": "3", "pi_exp": 3}),
+    # valid stratum, but not the canonical spelling "3,1" of its key
+    ("1,3", {"num": "16", "den": "42525", "pi_exp": 6}),
+    ("0,1,1", {"num": "1", "den": "135", "pi_exp": 4}),
+    (" 2", {"num": "1", "den": "120", "pi_exp": 4}),
+    ("2,-2", {"num": "1", "den": "120", "pi_exp": 4}),
+])
+def test_cache_non_canonical_key_rejected(key, rec, tmp_path, capsys):
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps({"version": 1, "entries": {key: rec}}))
+    before = path.read_bytes()
+    clear_caches()
+    with pytest.raises(cli.CacheError):
+        cli.load_cache(str(path))
+    clear_caches()
+    code, out, err = run(["volume", "3,1", "--cache", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cache" in err
+    assert path.read_bytes() == before  # no second entry appended under "3,1"
 
 
 def test_cache_bad_version_rejected(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -230,3 +231,30 @@ def test_complementary_is_lazy():
     gen = complementary_partitions(SetPartition([(1, 2), (3, 4), (5, 6)]))
     first = next(gen)
     assert isinstance(first, SetPartition)
+
+
+def random_set_partition(rng, n):
+    # random restricted-growth string: element e joins an open block or opens one
+    blocks = []
+    for e in range(1, n + 1):
+        i = rng.randint(0, len(blocks))
+        if i == len(blocks):
+            blocks.append([e])
+        else:
+            blocks[i].append(e)
+    return SetPartition(blocks)
+
+
+def test_yielded_set_partitions_are_canonical():
+    # both enumerators skip SetPartition validation, so each yielded value
+    # must equal its own validated, canonicalized copy
+    rng = random.Random(4711)
+    for _ in range(300):
+        rho = random_set_partition(rng, rng.randint(1, 8))
+        for alpha in complementary_partitions(rho):
+            assert type(alpha) is SetPartition
+            assert alpha == SetPartition(list(alpha)), (rho, alpha)
+    for n in range(0, 8):
+        for alpha in set_partitions(n):
+            assert type(alpha) is SetPartition
+            assert alpha == SetPartition(list(alpha)), alpha

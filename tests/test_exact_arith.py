@@ -68,6 +68,13 @@ def test_pivalue_rejects_odd_exponent():
         PiValue([(3, Fraction(1, 2))])
 
 
+def test_from_graded_zero_ignores_exponent_parity():
+    assert PiValue.from_graded(Fraction(0), 3).is_zero()
+    assert PiValue.from_graded(Fraction(2, 7), 4) == PiValue.from_rational(Fraction(2, 7), 4)
+    with pytest.raises(ValueError):
+        PiValue.from_graded(Fraction(1, 2), 3)
+
+
 def test_pivalue_drops_zero_coefficients():
     v = PiValue([(2, Fraction(1, 3)), (2, Fraction(-1, 3)), (4, 1)])
     assert v.terms == {4: Fraction(1)}

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -75,6 +77,12 @@ def test_c_value_frozen():
     assert c_value((2, 2)) == mono(1, 270, 4)
 
 
+def test_c_value_odd_grading_is_zero():
+    # |a| - n + 2 odd: no pi-exponent is available, so the value vanishes
+    for a in ((2,), (4,), (1, 2), (2, 2, 2)):
+        assert c_value(a).is_zero(), a
+
+
 def test_c_value_errors():
     with pytest.raises(ValueError):
         c_value(())
@@ -132,6 +140,40 @@ def test_clear_caches_empties_every_memo():
     assert all(m.cache_info().currsize > 0 for m in memos)
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+
+
+def test_terms_evaluated_counts_only_own_thread():
+    strata = ((2, 2, 2, 2), (3, 3))
+    alone = {}
+    for m in strata:
+        clear_caches()
+        alone[m] = volume(Stratum(m)).terms_evaluated
+    assert all(alone.values())
+
+    def run_together():
+        clear_caches()
+        together = {}
+        start = threading.Barrier(len(strata))
+
+        def work(m):
+            start.wait()
+            together[m] = volume(Stratum(m)).terms_evaluated
+
+        threads = [threading.Thread(target=work, args=(m,)) for m in strata]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        return together
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two computations finely
+    try:
+        # a few rounds, since one round need not interleave the counts
+        rounds = [run_together() for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(together == alone for together in rounds)
 
 
 def test_relative_error_frozen():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -101,3 +102,46 @@ def test_memo_and_term_counter():
 def test_empty_argument_list_rejected():
     with pytest.raises(ValueError):
         multi_bracket([])
+
+
+# -- differential sweeps: the rational fast path against PiValue oracles --------
+
+
+def oracle_multi_bracket(args):
+    # the defining sum, every product and sum in PiValue arithmetic
+    slot_map = LabeledSlotMap(tuple(sorted(Partition(a) for a in args)))
+    total = PiValue.zero()
+    for alpha in complementary_partitions(slot_map.rho):
+        term = PiValue.from_rational(1)
+        for block in alpha:
+            term = term * single_bracket(slot_map.values_in(block))
+        total = total + term
+    return total
+
+
+def random_args(rng, max_slots):
+    slots = rng.randint(1, max_slots)
+    args = []
+    while slots:
+        length = rng.randint(1, slots)
+        args.append(sorted((rng.randint(1, 4) for _ in range(length)), reverse=True))
+        slots -= length
+    return tuple(sorted(tuple(a) for a in args))
+
+
+def test_multi_bracket_matches_pivalue_oracle():
+    rng = random.Random(20011)
+    seen = set()
+    while len(seen) < 200:
+        args = random_args(rng, 8)
+        if args in seen:
+            continue
+        seen.add(args)
+        assert multi_bracket(args) == oracle_multi_bracket(args), args
+    assert max(sum(len(a) for a in args) for args in seen) == 8
+
+
+def test_multi_bracket_zero_for_odd_grading_still_counts_terms():
+    wick.clear_cache()
+    assert multi_bracket([(2,), (1, 1)]).is_zero()
+    assert term_count() > 0
