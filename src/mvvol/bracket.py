@@ -15,15 +15,27 @@ running over the nonnegative length-len(alpha) compositions of
 len(alpha) - 2.  Every surviving term has pi-exponent |m| - n + 2, so the
 result is a monomial (or zero when |m| - n is odd).
 
-Because that exponent is fixed by the grading, the sums run on bare
+A summand depends on alpha only through the multiset of block stats
+(s_i, c_i), and permuting equal entries of m permutes the set partitions
+without changing it.  So error_term sums over the partitions of the
+multiset m instead, each once, weighted by the number of set partitions it
+stands for (combinatorics.multiset_partitions); partitions with the same
+sorted stats are merged before any arithmetic.  For m = (v,)*n, which the
+principal stratum H(1^n) needs with v = 2, the Bell(n) set partitions fall
+into p(n) orbits.
+
+For fixed stats the d-sum is the coefficient of x^(len(alpha)-2) in
+prod_i sum_d s_i!/d! * frak_z(s_i - c_i - d + 1) * x^d, taken as a
+truncated polynomial product.  frak_z(k) is nonzero exactly for even
+k >= 0, which fixes the parity and range of each d; when the blocks'
+smallest admissible d already exceed len(alpha) - 2 the term is zero
+before any product is formed.
+
+Because the pi exponent is fixed by the grading, the sums run on bare
 Fractions (the rational coefficients of frak_z) and pi is attached once per
 public call.  coefficient() is the rational hot-path entry used by the Wick
 expansion; its memo holds the coefficient of every multiset seen so far,
 keyed on the sorted multiset, and a miss calls error_term once.
-
-The d-tuples are enumerated per block against the parity and range needed
-for frak_z to be nonzero, which prunes most branches before any factorial
-work.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .combinatorics import set_partitions
+from .combinatorics import multiset_partitions
 from .exact_arith import PiValue, frak_z
 
 __all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
@@ -57,60 +69,85 @@ def _z(k: int) -> Fraction:
     return frak_z(k).coefficient(k)
 
 
-def _block_term_sum(stats: Sequence[tuple[int, int]], total: int) -> Fraction:
+def _block_factors(s: int, c: int) -> list[tuple[int, Fraction]]:
+    """(d, s!/d! * z(s - c - d + 1)) for every d >= 0 where z is nonzero.
+
+    z(k) is nonzero exactly for even k >= 0, so d has the parity of
+    s - c + 1 and runs up to it; the smallest d is 0 or 1.
+    """
+    top = s - c + 1
+    fs = math.factorial(s)
+    return [(d, Fraction(fs, math.factorial(d)) * _z(top - d)) for d in range(top % 2, top + 1, 2)]
+
+
+def _block_term_sum(
+    stats: Sequence[tuple[int, int]],
+    total: int,
+    factors: dict[tuple[int, int], list[tuple[int, Fraction]]],
+) -> Fraction:
     """Sum over admissible d of prod_i s_i!/d_i! * z(s_i - c_i - d_i + 1).
 
     stats holds (s_i, c_i) per block; total = len(alpha) - 2; z is the
-    rational coefficient of frak_z.  d_i is only useful when
-    s_i - c_i - d_i + 1 is even and >= 0, i.e. d_i has fixed parity and
-    d_i <= s_i - c_i + 1.
+    rational coefficient of frak_z.  The sum is the coefficient of x^total
+    in prod_i sum_d s_i!/d! * z(s_i - c_i - d + 1) * x^d, taken as a product
+    truncated at degree total.  It is empty when the blocks' smallest
+    admissible d already exceed total.  factors memoizes _block_factors by
+    (s, c) and may be shared across calls.
     """
-    per_block: list[list[tuple[int, Fraction]]] = []
+    low = sum((s - c + 1) % 2 for s, c in stats)
+    if low > total:
+        return Fraction(0)
+    high = sum(min(s - c + 1, total) for s, c in stats)
+    acc = {0: Fraction(1)}
     for s, c in stats:
         top = s - c + 1
-        opts = []
-        for d in range(top % 2, min(top, total) + 1, 2):
-            z = _z(top - d)
-            if z:
-                opts.append((d, Fraction(math.factorial(s), math.factorial(d)) * z))
-        if not opts:
-            return Fraction(0)
-        per_block.append(opts)
-
-    acc = Fraction(0)
-
-    def rec(i: int, rem: int, coeff: Fraction) -> None:
-        nonlocal acc
-        if i == len(per_block) - 1:
-            for d, q in per_block[i]:
-                if d == rem:
-                    acc += coeff * q
-            return
-        min_rest = sum(opts[0][0] for opts in per_block[i + 1:])
-        for d, q in per_block[i]:
-            if d + min_rest > rem:
-                break
-            rec(i + 1, rem - d, coeff * q)
-
-    rec(0, total, Fraction(1))
-    return acc
+        low -= top % 2
+        high -= min(top, total)
+        # a partial degree the remaining blocks cannot carry to total is dropped
+        lo, hi = total - high, total - low
+        opts = factors.get((s, c))
+        if opts is None:
+            opts = factors[(s, c)] = _block_factors(s, c)
+        nxt: dict[int, Fraction] = {}
+        for a, qa in acc.items():
+            for d, q in opts:
+                if a + d > hi:
+                    break
+                if a + d >= lo:
+                    nxt[a + d] = nxt.get(a + d, 0) + qa * q
+        acc = nxt
+    return acc.get(total, Fraction(0))
 
 
 def error_term(m: Iterable[int]) -> PiValue:
     """Correction to the leading frak_z term of single_bracket(m)."""
     mm = _canonical(m)
-    n = len(mm)
-    total = Fraction(0)
-    for alpha in set_partitions(n):
-        ell = len(alpha)
-        if ell < 2:
+    values = sorted(set(mm), reverse=True)
+    mult = [mm.count(v) for v in values]
+    # each multiset partition of mm stands for `orbit` set partitions of its
+    # positions, all with the same block stats; sum orbits per sorted stats
+    orbits: dict[tuple[tuple[int, int], ...], int] = {}
+    block_stats: dict[tuple[int, ...], tuple[int, int]] = {}
+    for orbit, blocks in multiset_partitions(mult):
+        if len(blocks) < 2:
             continue
-        stats = tuple((sum(mm[x - 1] for x in b), len(b)) for b in alpha)
-        inner = _block_term_sum(stats, ell - 2)
+        stats = []
+        for b in blocks:
+            st = block_stats.get(b)
+            if st is None:
+                st = block_stats[b] = (sum(x * v for x, v in zip(b, values)), sum(b))
+            stats.append(st)
+        key = tuple(sorted(stats))
+        orbits[key] = orbits.get(key, 0) + orbit
+    total = Fraction(0)
+    factors: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for stats, orbit in orbits.items():
+        ell = len(stats)
+        inner = _block_term_sum(stats, ell - 2, factors)
         if inner:
             sign = -1 if ell % 2 == 0 else 1
-            total += inner * (sign * math.factorial(ell - 2))
-    return PiValue.from_graded(total, sum(mm) - n + 2)
+            total += inner * (sign * orbit * math.factorial(ell - 2))
+    return PiValue.from_graded(total, sum(mm) - len(mm) + 2)
 
 
 def coefficient(mm: tuple[int, ...]) -> Fraction:

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from fractions import Fraction
 from typing import Optional
 
@@ -106,15 +107,25 @@ def load_cache(path: str) -> set[tuple[int, ...]]:
 
 
 def save_cache(path: str) -> None:
+    """Write the volume memo to path atomically (temp file, then os.replace)."""
     entries = {}
     for degrees, value in volumes.volume_cache().items():
         q, e = value.monomial()
         key = ",".join(str(d) for d in degrees)
         entries[key] = {"num": str(q.numerator), "den": str(q.denominator), "pi_exp": e}
     payload = {"version": CACHE_VERSION, "entries": entries}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # write beside the target and rename over it, so a failed dump leaves
+    # the old file whole; plain open keeps the umask permissions
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # -- rendering ---------------------------------------------------------------
@@ -374,10 +385,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:  # built on the first call, then reused
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     cache_path = _cache_path(args.cache)

@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from mvvol.bracket import clear_cache, error_term, single_bracket
+from mvvol.bracket import _block_term_sum, _z, clear_cache, error_term, single_bracket
 from mvvol.combinatorics import nonneg_compositions, partitions_of_size, set_partitions
 from mvvol.exact_arith import PiValue, frak_z
 
@@ -31,6 +32,63 @@ def naive_error(m):
                 term = term * z * Fraction(math.factorial(s), math.factorial(di))
             total = total + term
     return total
+
+
+def recursion_block_term_sum(stats, total):
+    # the d-sum as a recursion over compositions of total, pruned by parity
+    # and by the smallest d the later blocks still need
+    per_block = []
+    for s, c in stats:
+        top = s - c + 1
+        opts = []
+        for d in range(top % 2, min(top, total) + 1, 2):
+            z = _z(top - d)
+            if z:
+                opts.append((d, Fraction(math.factorial(s), math.factorial(d)) * z))
+        if not opts:
+            return Fraction(0)
+        per_block.append(opts)
+    acc = Fraction(0)
+
+    def rec(i, rem, coeff):
+        nonlocal acc
+        if i == len(per_block) - 1:
+            for d, q in per_block[i]:
+                if d == rem:
+                    acc += coeff * q
+            return
+        min_rest = sum(opts[0][0] for opts in per_block[i + 1:])
+        for d, q in per_block[i]:
+            if d + min_rest > rem:
+                break
+            rec(i + 1, rem - d, coeff * q)
+
+    rec(0, total, Fraction(1))
+    return acc
+
+
+def set_partition_error_term(m):
+    # every set partition of the positions of m, one d-recursion per sorted
+    # stats tuple; returns the rational coefficient of pi^(|m| - n + 2)
+    m = tuple(m)
+    inner_of = {}
+    total = Fraction(0)
+    for alpha in set_partitions(len(m)):
+        ell = len(alpha)
+        if ell < 2:
+            continue
+        stats = tuple(sorted((sum(m[x - 1] for x in b), len(b)) for b in alpha))
+        if stats not in inner_of:
+            inner_of[stats] = recursion_block_term_sum(stats, ell - 2)
+        total += (-1) ** (ell - 1) * math.factorial(ell - 2) * inner_of[stats]
+    return total
+
+
+def random_multiset_with_repeats(rng, n):
+    distinct = rng.randint(1, min(n - 1, 5))
+    values = rng.sample(range(1, 6), distinct)
+    values += [rng.choice(values) for _ in range(n - distinct)]
+    return tuple(sorted(values, reverse=True))
 
 
 def test_error_term_frozen_values():
@@ -61,6 +119,34 @@ def test_error_term_matches_unpruned_oracle():
     for s in range(1, 8):
         for lam in partitions_of_size(s):
             assert error_term(lam) == naive_error(lam), lam
+
+
+def test_error_term_matches_set_partition_oracle():
+    # 300 distinct multisets, each with a repeated value: 280 with n <= 7,
+    # then 15 with n = 8 and 5 with n = 9 (the oracle visits Bell(n) terms)
+    rng = random.Random(2018)
+    cases = set()
+    for count, sizes in ((280, (2, 7)), (295, (8, 8)), (300, (9, 9))):
+        while len(cases) < count:
+            cases.add(random_multiset_with_repeats(rng, rng.randint(*sizes)))
+    for m in sorted(cases):
+        want = PiValue.from_graded(set_partition_error_term(m), sum(m) - len(m) + 2)
+        assert error_term(m) == want, m
+
+
+def test_block_term_sum_matches_recursion():
+    rng = random.Random(6174)
+    factors = {}
+    for _ in range(500):
+        stats = []
+        for _ in range(rng.randint(1, 8)):
+            c = rng.randint(1, 4)
+            stats.append((c + rng.randint(0, 12), c))
+        total = rng.randint(0, len(stats) + 2)
+        want = recursion_block_term_sum(stats, total)
+        assert _block_term_sum(stats, total, {}) == want, (stats, total)
+        # a factor memo shared across calls gives the same sums
+        assert _block_term_sum(stats, total, factors) == want, (stats, total)
 
 
 def test_homogeneity_and_parity():

@@ -121,6 +121,12 @@ def test_principal_verify_json(capsys):
     assert (rec["num"], rec["den"], rec["pi_exp"]) == ("1", "135", 4)
 
 
+def test_principal_verify_genus_eight(capsys):
+    code, out, _ = run(["principal", "8", "--verify", "--max-weight", "30"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["matches general pipeline: yes"]
+
+
 def test_principal_bad_genus(capsys):
     code, _, err = run(["principal", "1"], capsys)
     assert code == 2
@@ -316,6 +322,28 @@ def test_warm_run_leaves_cache_untouched(tmp_path, capsys):
     assert path.stat().st_mtime_ns == 10**18
 
 
+def test_failed_save_keeps_old_cache(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    clear_caches()
+    code, _, _ = run(["volume", "2", "--cache", str(path)], capsys)
+    assert code == 0
+    before = path.read_bytes()
+    run(["volume", "1,1"], capsys)  # the memo now holds an entry the file lacks
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", boom)
+    with pytest.raises(RuntimeError):
+        cli.save_cache(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["c.json"]
+    monkeypatch.undo()
+    cli.save_cache(str(path))
+    assert set(json.loads(path.read_text())["entries"]) == {"1,1", "2"}
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 def test_cache_keys_sorted(tmp_path, capsys):
     path = tmp_path / "vols.json"
     clear_caches()
@@ -407,6 +435,24 @@ def test_selftest_pass_output_shape(capsys, monkeypatch):
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "selftest: all criteria passed"
+
+
+# -- parser reuse -------------------------------------------------------------------
+
+
+def test_parser_reused_after_parse_error(capsys):
+    code, out, err = run(["volume"], capsys)  # missing stratum
+    assert code == 2
+    assert out == ""
+    assert "usage: mvvol volume" in err
+    parser = cli._PARSER
+    code, out, _ = run(["volume", "2"], capsys)
+    assert code == 0
+    assert out == "1/120 * pi^4\n"
+    code, out, _ = run(["principal", "3", "--verify"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["1/4860 * pi^6", "matches general pipeline: yes"]
+    assert cli._PARSER is parser
 
 
 # -- entry point --------------------------------------------------------------------

@@ -230,6 +230,24 @@ def test_principal_equality_genus_four():
     assert principal_volume(4) == volume(Stratum([1] * 6)).value
 
 
+def test_principal_agreement_at_higher_genus():
+    for g in range(5, 11):
+        n = 2 * g - 2
+        assert volume(Stratum([1] * n), max_weight=2 * n).value == principal_volume(g), g
+
+
+def test_principal_ratio_rises_towards_one():
+    # vol * prod(m_i + 1) / 4 = vol * 2^(2g-2) / 4 lies in (0, 1) and rises
+    # with g, as the large-genus limit of the principal stratum says
+    ratios = []
+    for g in range(2, 11):
+        n = 2 * g - 2
+        value = volume(Stratum([1] * n), max_weight=2 * n).value
+        ratios.append(value.to_decimal(30) * 2**n / 4)
+    assert all(0 < r < 1 for r in ratios), ratios
+    assert ratios == sorted(ratios) and len(set(ratios)) == len(ratios), ratios
+
+
 def test_principal_domain():
     with pytest.raises(ValueError):
         principal_volume(1)
