@@ -35,7 +35,8 @@ Because the pi exponent is fixed by the grading, the sums run on bare
 Fractions (the rational coefficients of frak_z) and pi is attached once per
 public call.  coefficient() is the rational hot-path entry used by the Wick
 expansion; its memo holds the coefficient of every multiset seen so far,
-keyed on the sorted multiset, and a miss calls error_term once.
+keyed on the sorted multiset, and a miss calls error_term once unless the
+exponent is odd, where the coefficient is 0.
 """
 
 from __future__ import annotations
@@ -154,12 +155,16 @@ def coefficient(mm: tuple[int, ...]) -> Fraction:
     """Rational coefficient of single_bracket(mm) at pi^(|mm| - len(mm) + 2).
 
     mm must already be canonical: a nonempty tuple of positive ints sorted
-    in decreasing order.  Memoized; a miss calls error_term once.
+    in decreasing order.  Memoized; a miss at an even exponent calls
+    error_term once, and at an odd one the coefficient is 0 by the grading.
     """
     q = _CACHE.get(mm)
     if q is None:
         exponent = sum(mm) - len(mm) + 2
-        q = math.factorial(sum(mm)) * _z(exponent) + error_term(mm).coefficient(exponent)
+        if exponent % 2:
+            q = Fraction(0)
+        else:
+            q = math.factorial(sum(mm)) * _z(exponent) + error_term(mm).coefficient(exponent)
         _CACHE[mm] = q
     return q
 

@@ -11,6 +11,10 @@ The volume pipeline consumes four combinatorial families:
 * partitions of a multiset, each standing for the orbit of set partitions
   that permuting equal elements carries into one another.
 
+The Wick sum is defined over complementary partitions but computed by a
+recursion over their block-incidence trees (see wick); the enumeration
+here serves the selftest and the test oracles.
+
 Complementary partitions are enumerated by backtracking.  Each element e
 contributes an edge between its alpha-block and its rho-block in the
 bipartite block-intersection graph; with N edges on N + 1 vertices the join

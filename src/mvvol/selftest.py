@@ -161,19 +161,32 @@ def _check_decomposition(max_weight: int) -> tuple[bool, str]:
     return ok, "cyl1_total = sum of cyl pairs + handles, bit-exact, for 2g-2 <= 4"
 
 
-def _joined(alpha_masks: tuple[int, ...], rho_masks: tuple[int, ...]) -> bool:
-    comps = list(alpha_masks)
-    for rm in rho_masks:
-        merged = 0
-        keep = []
-        for c in comps:
-            if c & rm:
-                merged |= c
-            else:
-                keep.append(c)
-        keep.append(merged)
-        comps = keep
-    return len(comps) == 1
+def _closure_table(p: SetPartition, n: int) -> bytearray:
+    """table[mask] = union of the blocks of p meeting mask, over n <= 8 bits."""
+    owner = [0] * n
+    for b in p:
+        bm = sum(1 << (x - 1) for x in b)
+        for x in b:
+            owner[x - 1] = bm
+    table = bytearray(1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | owner[low.bit_length() - 1]
+    return table
+
+
+def _joined(alpha: bytearray, rho: bytearray) -> bool:
+    """Whether the join of two set partitions is the one-block partition.
+
+    Floods from element 1 through the blocks of rho and of alpha (given by
+    their closure tables) until nothing new is reached.
+    """
+    reach = 1
+    while True:
+        nxt = alpha[rho[reach]]
+        if nxt == reach:
+            return reach == len(alpha) - 1
+        reach = nxt
 
 
 def _check_cross_consistency(max_weight: int) -> tuple[bool, str]:
@@ -184,14 +197,14 @@ def _check_cross_consistency(max_weight: int) -> tuple[bool, str]:
                 ok = False
     for n in range(1, 9):
         universe = list(set_partitions(n))
-        masks = {p: tuple(sum(1 << (x - 1) for x in b) for b in p) for p in universe}
+        tables = {p: _closure_table(p, n) for p in universe}
         by_len: dict[int, list[SetPartition]] = {}
         for p in universe:
             by_len.setdefault(len(p), []).append(p)
         for rho in universe:
             k = n + 1 - len(rho)
-            rmask = masks[rho]
-            want = {a for a in by_len.get(k, ()) if _joined(masks[a], rmask)}
+            rtab = tables[rho]
+            want = {a for a in by_len.get(k, ()) if _joined(tables[a], rtab)}
             got = set(complementary_partitions(rho))
             if got != want:
                 ok = False

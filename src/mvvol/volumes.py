@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Union
 
 from . import bracket, exact_arith, f_expansion, wick
@@ -156,13 +157,45 @@ _C_CACHE: dict[tuple[int, ...], PiValue] = {}
 _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
 
 
+def _grouped_supports(key: tuple[int, ...]) -> dict[tuple[Partition, ...], Fraction]:
+    """Sorted partition tuple -> its coefficient in prod_i capital_f(key_i).
+
+    A run of r equal degrees k picks a multiset of r supports of
+    capital_f(k), weighted by the multinomial r! / prod(repeats!), instead
+    of r ordered choices; for H(2^n) that is n + 1 picks instead of 2^n.
+    No two choices of one pick per run give the same tuple: the picks of a
+    run are distinct multisets, and supports of distinct degrees have
+    distinct weights k + 1.
+    """
+    runs = []
+    for k, r in Counter(key).items():
+        support = sorted(capital_f(k).items())
+        picks = []
+        for idx in combinations_with_replacement(range(len(support)), r):
+            coeff = support[idx[0]][1]
+            for i in idx[1:]:
+                coeff *= support[i][1]
+            ways = math.factorial(r) // math.prod(math.factorial(idx.count(i)) for i in set(idx))
+            if ways > 1:
+                coeff *= ways
+            picks.append(([support[i][0] for i in idx], coeff))
+        runs.append(picks)
+    grouped: dict[tuple[Partition, ...], Fraction] = {}
+    for choice in product(*runs):
+        coeff = choice[0][1]
+        for _, q in choice[1:]:
+            coeff *= q
+        grouped[tuple(sorted(lam for lams, _ in choice for lam in lams))] = coeff
+    return grouped
+
+
 def c_value(m: Iterable[int]) -> PiValue:
     """Normalized correlator of the incremented degree multiset.
 
     m must be a nonempty multiset of positive integers.  Memoized; the
-    multilinear expansion groups equal partition tuples so each distinct
-    Wick evaluation runs once, and sums their rational coefficients before
-    attaching pi once.
+    multilinear expansion picks supports per run of equal degrees and
+    groups equal partition tuples so each distinct Wick evaluation runs
+    once, and sums their rational coefficients before attaching pi once.
     """
     key = tuple(sorted((int(v) for v in m), reverse=True))
     if not key:
@@ -173,19 +206,10 @@ def c_value(m: Iterable[int]) -> PiValue:
     if cached is not None:
         return cached
 
-    supports = [sorted(capital_f(k).items()) for k in key]
-    grouped: dict[tuple[Partition, ...], Fraction] = {}
-    for choice in product(*supports):
-        tup = tuple(sorted(lam for lam, _ in choice))
-        coeff = Fraction(1)
-        for _, q in choice:
-            coeff *= q
-        grouped[tup] = grouped.get(tup, Fraction(0)) + coeff
-
     # every Wick value here is a monomial in pi^(|a| - n + 2), by grading
     exponent = sum(key) - len(key) + 2
     total = Fraction(0)
-    for tup, coeff in grouped.items():
+    for tup, coeff in _grouped_supports(key).items():
         if coeff:
             total += wick.multi_bracket(tup).coefficient(exponent) * coeff
 

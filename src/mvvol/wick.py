@@ -13,55 +13,97 @@ where slot L_{j-1} + i carries the part lam_j[i].  Each surviving summand
 is homogeneous of pi-exponent S + L - 2n + 2 with S the total size of the
 arguments, so the result is again a monomial (or zero).
 
-Since that exponent is fixed, each summand is a product of bare Fractions
-(bracket.coefficient of every block) and the running sum is a Fraction; pi
-is attached once per memo miss.  The complement sum streams lazily; a block
-with a zero coefficient aborts its summand early.  Values are memoized on
-the sorted argument tuple (the correlator is symmetric in its arguments).
+The complements are not enumerated.  A complement's block-incidence graph
+(alpha-blocks and rho-blocks joined by the slots) is a tree, so rooting it
+at an argument lam and cutting there leaves one branch per slot a of lam.
+Branch a is a complement of the rho made of the singleton (lam_a,) and the
+arguments the branch holds, and every way of handing the other arguments R
+to the slots gives complements this way, each exactly once.  On the
+rational coefficients W of pi^(S + L - 2n + 2):
 
-term_count() is the number of complement summands the calling thread (more
-precisely, the calling context) has evaluated since it last cleared the
-cache; it counts summands whose arguments are odd-graded too.
+    W(lam, R) = sum over maps phi: R -> slots of lam of
+                prod_a W((lam_a,) + phi^-1(a)).
+
+Maps that hand each slot the same multiset of arguments give the same
+product, so the sum runs over distributions of the multiset R, weighted by
+a multinomial per distinct argument; it is taken slot by slot as a product
+of generating series in the argument counts, truncated at R.  The root is
+the longest argument; when every argument has one part the only complement
+is a single block, so W = bracket.coefficient(all values).  The same
+recursion carries the number of complements (1 at the base case).
+
+Values are memoized on the sorted argument tuple (the correlator is
+symmetric in its arguments), one entry per tuple that the recursion or a
+caller reaches: the coefficient, the complement count and whether a caller
+has asked for the tuple yet.  pi is attached per call.
+
+term_count() is the number of complements of the distinct tuples that
+multi_bracket has been asked for, each counted on its first request since
+the cache was last cleared, in the calling thread (more precisely, the
+calling context); odd-graded tuples, whose value is zero, count too.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import product
+from math import comb
+from typing import Iterable
 
 from .bracket import coefficient
-from .combinatorics import Partition, SetPartition, complementary_partitions
+from .combinatorics import Partition
 from .exact_arith import PiValue
 
-__all__ = ["LabeledSlotMap", "multi_bracket", "clear_cache", "term_count"]
+__all__ = ["multi_bracket", "clear_cache", "term_count"]
 
-_CACHE: dict[tuple[Partition, ...], PiValue] = {}
+# sorted argument tuple -> (coefficient, complement count, requested yet)
+_CACHE: dict[tuple[tuple[int, ...], ...], tuple[Fraction, int, bool]] = {}
 _TERMS_SEEN: ContextVar[int] = ContextVar("mvvol_wick_terms_seen", default=0)
 
 
-class LabeledSlotMap:
-    """Slot layout of a tuple of partitions: values and interval grouping."""
+def _solve(key: tuple[tuple[int, ...], ...]) -> tuple[Fraction, int, bool]:
+    """Memo entry of a sorted argument tuple, by the rooted-tree recursion."""
+    entry = _CACHE.get(key)
+    if entry is not None:
+        return entry
+    root = max(key, key=len)
+    if len(root) == 1:
+        entry = (coefficient(tuple(sorted((a[0] for a in key), reverse=True))), 1, False)
+        _CACHE[key] = entry
+        return entry
 
-    __slots__ = ("args", "slot_values", "rho")
-
-    def __init__(self, args: Sequence[Partition]):
-        self.args = tuple(args)
-        values: list[int] = []
-        blocks: list[tuple[int, ...]] = []
-        pos = 1
-        for lam in self.args:
-            if len(lam) == 0:
-                raise ValueError("empty partition argument")
-            values.extend(lam)
-            blocks.append(tuple(range(pos, pos + len(lam))))
-            pos += len(lam)
-        self.slot_values = tuple(values)
-        self.rho = SetPartition(blocks)
-
-    def values_in(self, block: Iterable[int]) -> tuple[int, ...]:
-        """Multiset of part values carried by the given slot labels."""
-        return tuple(self.slot_values[u - 1] for u in block)
+    rest = list(key)
+    rest.remove(root)
+    kinds = sorted(set(rest))
+    mult = [rest.count(k) for k in kinds]
+    # acc: count vector c of the arguments handed to the slots done so far
+    # -> (coefficient, complements) summed over those hand-outs; a slot
+    # taking d more multiplies by prod_j C(c_j + d_j, d_j), and these
+    # binomials build each distribution's multinomial weight
+    acc = {(0,) * len(kinds): (Fraction(1), 1)}
+    last = len(root) - 1
+    for i, v in enumerate(root):
+        nxt: dict[tuple[int, ...], tuple[Fraction, int]] = {}
+        for c, (q, t) in acc.items():
+            room = [m - x for m, x in zip(mult, c)]
+            shares = [tuple(room)] if i == last else product(*(range(r + 1) for r in room))
+            for d in shares:
+                branch = [(v,)]
+                weight = 1
+                for kind, x, y in zip(kinds, c, d):
+                    if y:
+                        branch.extend([kind] * y)
+                        weight *= comb(x + y, y)
+                bq, bt, _ = _solve(tuple(sorted(branch)))
+                s = tuple(x + y for x, y in zip(c, d))
+                sq, st = nxt.get(s, (0, 0))
+                nxt[s] = (sq + q * bq * weight if q and bq else sq, st + t * bt * weight)
+        acc = nxt
+    q, t = acc[tuple(mult)]
+    entry = (Fraction(q), t, False)
+    _CACHE[key] = entry
+    return entry
 
 
 def multi_bracket(args: Iterable[Iterable[int]]) -> PiValue:
@@ -69,35 +111,18 @@ def multi_bracket(args: Iterable[Iterable[int]]) -> PiValue:
     key = tuple(sorted(Partition(a) for a in args))
     if not key:
         raise ValueError("multi_bracket needs at least one argument")
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    slot_map = LabeledSlotMap(key)
-    slots = slot_map.slot_values
-    values = (0,) + slots  # slot labels are 1-based
-    total = Fraction(0)
-    terms = 0
-    for alpha in complementary_partitions(slot_map.rho):
-        terms += 1
-        prod = Fraction(1)
-        for block in alpha:
-            q = coefficient(tuple(sorted([values[u] for u in block], reverse=True)))
-            if not q:
-                break
-            prod *= q
-        else:
-            total += prod
-    _TERMS_SEEN.set(_TERMS_SEEN.get() + terms)
-
-    exponent = sum(slots) + len(slots) - 2 * len(key) + 2
-    value = PiValue.from_graded(total, exponent)
-    _CACHE[key] = value
-    return value
+    if not all(key):
+        raise ValueError("empty partition argument")
+    q, terms, requested = _solve(key)
+    if not requested:
+        _CACHE[key] = (q, terms, True)
+        _TERMS_SEEN.set(_TERMS_SEEN.get() + terms)
+    exponent = sum(map(sum, key)) + sum(map(len, key)) - 2 * len(key) + 2
+    return PiValue.from_graded(q, exponent)
 
 
 def term_count() -> int:
-    """Complement summands evaluated so far in this context (diagnostic only)."""
+    """Complements of the tuples requested so far in this context (diagnostic only)."""
     return _TERMS_SEEN.get()
 
 

@@ -8,7 +8,8 @@ report lines, so `pytest -v -s tests/test_acceptance.py` and
 
 import pytest
 
-from mvvol.selftest import CHECKS, run_selftest
+from mvvol.combinatorics import set_partitions
+from mvvol.selftest import CHECKS, _closure_table, _joined, run_selftest
 from mvvol.volumes import DEFAULT_MAX_WEIGHT, clear_caches
 
 IDS = [
@@ -49,3 +50,23 @@ def test_criterion_12_selftest_determinism():
     )
     assert cold[1] == warm[1], "selftest output differs across cache states"
     assert cold[0] and warm[0], "selftest reported failures"
+
+
+def merged_blocks_joined(alpha, rho):
+    # merge the alpha-blocks each rho-block touches; one block left = joined
+    comps = [set(b) for b in alpha]
+    for rb in rho:
+        touched = [c for c in comps if c & set(rb)]
+        comps = [c for c in comps if not c & set(rb)] + [set().union(*touched)]
+    return len(comps) == 1
+
+
+def test_join_filter_matches_block_merge():
+    # the flood fill behind criterion 09 against a plain block merge, n <= 6
+    for n in range(1, 7):
+        universe = list(set_partitions(n))
+        tables = {p: _closure_table(p, n) for p in universe}
+        for alpha in universe:
+            for rho in universe:
+                got = _joined(tables[alpha], tables[rho])
+                assert got == merged_blocks_joined(alpha, rho), (alpha, rho)

@@ -1,16 +1,20 @@
 import math
+import random
 import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from mvvol import exact_arith, f_expansion
 from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
+from mvvol.f_expansion import capital_f
 from mvvol.volumes import (
     DEFAULT_MAX_WEIGHT,
+    _grouped_supports,
     InfeasibleSizeError,
     InvalidStratumError,
     Stratum,
@@ -81,6 +85,32 @@ def test_c_value_odd_grading_is_zero():
     # |a| - n + 2 odd: no pi-exponent is available, so the value vanishes
     for a in ((2,), (4,), (1, 2), (2, 2, 2)):
         assert c_value(a).is_zero(), a
+
+
+def product_and_group(key):
+    # one ordered support per degree, then equal sorted tuples grouped
+    supports = [sorted(capital_f(k).items()) for k in key]
+    grouped = {}
+    for choice in product(*supports):
+        tup = tuple(sorted(lam for lam, _ in choice))
+        coeff = Fraction(1)
+        for _, q in choice:
+            coeff *= q
+        grouped[tup] = grouped.get(tup, Fraction(0)) + coeff
+    return grouped
+
+
+def test_grouped_supports_match_product_expansion():
+    rng = random.Random(60602)
+    seen = set()
+    while len(seen) < 40:
+        key = tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(1, 6))), reverse=True))
+        if key in seen:
+            continue
+        seen.add(key)
+        assert _grouped_supports(key) == product_and_group(key), key
+    assert sum(len(set(key)) < len(key) for key in seen) >= 25
+    assert _grouped_supports((3,) * 6) == product_and_group((3,) * 6)
 
 
 def test_c_value_errors():
@@ -246,6 +276,27 @@ def test_principal_ratio_rises_towards_one():
         ratios.append(value.to_decimal(30) * 2**n / 4)
     assert all(0 < r < 1 for r in ratios), ratios
     assert ratios == sorted(ratios) and len(set(ratios)) == len(ratios), ratios
+
+
+@pytest.mark.parametrize("family", [
+    [(2,) * n for n in range(1, 12)],  # g = 2..12
+    [(3,) * n for n in (2, 4, 6, 8)],  # g = 4, 7, 10, 13
+], ids=["all-twos", "all-threes"])
+def test_equal_parts_ratio_rises_towards_one(family):
+    # vol * prod(m_i + 1) / 4 lies in (0, 1) and rises with g: the
+    # (4 + o(1)) / prod(m_i + 1) limit along H(2^n) and H(3^n)
+    ratios = []
+    for m in family:
+        value = volume(Stratum(m), max_weight=sum(m) + len(m)).value
+        ratios.append(value.to_decimal(30) * math.prod(d + 1 for d in m) / 4)
+    assert all(0 < r < 1 for r in ratios), ratios
+    assert ratios == sorted(ratios) and len(set(ratios)) == len(ratios), ratios
+
+
+def test_all_twos_frozen_value():
+    # H(2^6), g = 7, as computed by the complement enumeration
+    value = volume(Stratum([2] * 6), max_weight=18).value
+    assert value == mono(2352841223, 4321602251366400000, 14)
 
 
 def test_principal_domain():

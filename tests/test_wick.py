@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Iterable, Sequence
 
 import pytest
 
 import mvvol.wick as wick
-from mvvol.bracket import single_bracket
+from mvvol.bracket import coefficient, single_bracket
 from mvvol.combinatorics import (
     Partition,
     SetPartition,
@@ -14,11 +15,38 @@ from mvvol.combinatorics import (
     partitions_of_size,
 )
 from mvvol.exact_arith import PiValue
-from mvvol.wick import LabeledSlotMap, multi_bracket, term_count
+from mvvol.wick import multi_bracket, term_count
 
 
 def mono(num, den, exp):
     return PiValue([(exp, Fraction(num, den))])
+
+
+class LabeledSlotMap:
+    """Slot layout of a tuple of partitions: values and interval grouping.
+
+    Oracle scaffolding: the defining complement sum is written on it.
+    """
+
+    __slots__ = ("args", "slot_values", "rho")
+
+    def __init__(self, args: Sequence[Partition]):
+        self.args = tuple(args)
+        values: list[int] = []
+        blocks: list[tuple[int, ...]] = []
+        pos = 1
+        for lam in self.args:
+            if len(lam) == 0:
+                raise ValueError("empty partition argument")
+            values.extend(lam)
+            blocks.append(tuple(range(pos, pos + len(lam))))
+            pos += len(lam)
+        self.slot_values = tuple(values)
+        self.rho = SetPartition(blocks)
+
+    def values_in(self, block: Iterable[int]) -> tuple[int, ...]:
+        """Multiset of part values carried by the given slot labels."""
+        return tuple(self.slot_values[u - 1] for u in block)
 
 
 def test_slot_layout_worked_example():
@@ -34,6 +62,8 @@ def test_slot_layout_worked_example():
 def test_slot_layout_rejects_empty_argument():
     with pytest.raises(ValueError):
         LabeledSlotMap([Partition(())])
+    with pytest.raises(ValueError):
+        multi_bracket([(2, 1), ()])
 
 
 def test_frozen_values():
@@ -145,3 +175,89 @@ def test_multi_bracket_zero_for_odd_grading_still_counts_terms():
     wick.clear_cache()
     assert multi_bracket([(2,), (1, 1)]).is_zero()
     assert term_count() > 0
+
+
+# -- differential sweep: the rooted-tree recursion against the complement sum ---
+
+
+def oracle_coefficient_and_terms(args):
+    # the defining complement sum in Fractions, and len(complements)
+    slot_map = LabeledSlotMap(tuple(sorted(Partition(a) for a in args)))
+    total = Fraction(0)
+    terms = 0
+    for alpha in complementary_partitions(slot_map.rho):
+        terms += 1
+        prod = Fraction(1)
+        for block in alpha:
+            prod *= coefficient(tuple(sorted(slot_map.values_in(block), reverse=True)))
+            if not prod:
+                break
+        total += prod
+    return total, terms
+
+
+def exponent_of(args):
+    return sum(map(sum, args)) + sum(map(len, args)) - 2 * len(args) + 2
+
+
+def check_against_oracle(args):
+    q, terms = oracle_coefficient_and_terms(args)
+    wick.clear_cache()
+    got = multi_bracket(args)
+    assert got == PiValue.from_graded(q, exponent_of(args)), args
+    assert term_count() == terms, args
+
+
+def random_tuple_with_repeats(rng, max_slots):
+    # parts 1..4, so parts repeat; now and then an argument is repeated
+    slots = rng.randint(1, max_slots)
+    args = []
+    while slots:
+        if args and rng.random() < 0.3:
+            lam = rng.choice(args)
+            if len(lam) <= slots:
+                args.append(lam)
+                slots -= len(lam)
+                continue
+        length = rng.randint(1, min(slots, 4))
+        args.append(tuple(sorted((rng.randint(1, 4) for _ in range(length)), reverse=True)))
+        slots -= length
+    return tuple(sorted(args))
+
+
+def test_recursion_matches_complement_sum():
+    rng = random.Random(60601)
+    seen = set()
+    while len(seen) < 200:
+        args = random_tuple_with_repeats(rng, 10)
+        if args in seen:
+            continue
+        seen.add(args)
+        check_against_oracle(args)
+    slots = [sum(map(len, args)) for args in seen]
+    assert max(slots) == 10 and sum(n >= 9 for n in slots) >= 40
+    assert sum(any(a == b for a, b in zip(args, args[1:])) for args in seen) >= 50
+    assert sum(any(len(set(a)) < len(a) for a in args) for args in seen) >= 50
+
+
+@pytest.mark.parametrize("args", [
+    [(3, 2, 2, 1)],  # a single argument: every slot its own block
+    [(5,)],
+    [(2,), (2,), (1,), (3,)],  # all single-part: one block of every slot
+    [(2,), (1, 1)],  # odd grading: zero, but its complements still count
+    [(2, 2), (1,), (1, 1, 1)],
+    [(1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+])
+def test_recursion_edge_cases(args):
+    check_against_oracle(args)
+
+
+def test_term_count_counts_each_requested_tuple_once():
+    wick.clear_cache()
+    multi_bracket([(1, 1), (3,), (3,)])  # reaches ((1,), (3,)) inside
+    first = term_count()
+    multi_bracket([(3,), (1,)])  # computed inside, but not requested before
+    assert term_count() == first + 1
+    multi_bracket([(1,), (3,)])
+    multi_bracket([(3,), (1, 1), (3,)])
+    assert term_count() == first + 1
