@@ -362,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_principal.set_defaults(func=_cmd_principal)
 
     p_table = sub.add_parser("table", help="volumes for all strata with 2g-2 <= max-size")
-    p_table.add_argument("--max-size", type=int, default=6)
+    p_table.add_argument("--max-size", type=_int_in(2), default=6,
+                         help="largest 2g-2 in the table (at least 2)")
     common(p_table)
     p_table.set_defaults(func=_cmd_table)
 

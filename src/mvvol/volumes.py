@@ -13,6 +13,17 @@ expanded multilinearly over the power-sum supports with identical partition
 tuples grouped before Wick evaluation.  The result is always a single
 positive rational multiple of pi^(2g) with g = (sum m_i + 2) / 2.
 
+A single degree k (the minimal stratum H(k - 1), and the torus at k = 1)
+needs no Wick call.  Each support lam of capital_f(k) is one argument, whose
+only complement puts every slot in its own block, so its Wick value is
+prod_i b(lam_i) with b(v) = bracket.coefficient((v,)).  The support weight
+(-k)^(len(lam) - 1) / prod_i M_i(lam)! is exponential, so by the
+exponential formula the support sum is
+
+    [x^(k+1)] exp(-k B(x)) / (-k),    B(x) = sum_{v=1..k} b(v) x^(v+1),
+
+a power series taken in O(k^2) Fraction operations.
+
 The genus-1 edge cases H() and H(0, ..., 0) are normalized through
 c_value((1,)) = pi^2/6, giving the torus volume pi^2/3.
 
@@ -139,7 +150,12 @@ def _as_stratum(s: StratumLike) -> Stratum:
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """Exact volume of a stratum plus its large-genus comparison data."""
+    """Exact volume of a stratum plus its large-genus comparison data.
+
+    terms_evaluated is the number of Wick summands of the argument tuples
+    this call asked multi_bracket for first (wick.term_count); it is 0 for
+    a cached stratum and for a single-zero stratum, which asks for none.
+    """
 
     stratum: Stratum
     value: PiValue
@@ -189,13 +205,38 @@ def _grouped_supports(key: tuple[int, ...]) -> dict[tuple[Partition, ...], Fract
     return grouped
 
 
+def _single_degree_sum(k: int) -> Fraction:
+    """Coefficient of pi^(k+1) in sum over supports lam of capital_f(k) of
+    its weight times multi_bracket((lam,)), as [x^(k+1)] exp(-k B(x)) / (-k).
+
+    E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
+    n E_n = -k * sum_j j B_j E_(n-j).
+    """
+    top = k + 1
+    # (j, j * B_j) for the nonzero B_j; b(v) vanishes for even v by grading
+    slopes = [(v + 1, (v + 1) * b) for v in range(1, k + 1)
+              if (b := bracket.coefficient((v,)))]
+    e = [Fraction(1)] + [Fraction(0)] * top
+    for n in range(1, top + 1):
+        acc = Fraction(0)
+        for j, jb in slopes:
+            if j > n:
+                break
+            if e[n - j]:
+                acc += jb * e[n - j]
+        e[n] = acc * Fraction(-k, n)
+    return e[top] / -k
+
+
 def c_value(m: Iterable[int]) -> PiValue:
     """Normalized correlator of the incremented degree multiset.
 
-    m must be a nonempty multiset of positive integers.  Memoized; the
-    multilinear expansion picks supports per run of equal degrees and
-    groups equal partition tuples so each distinct Wick evaluation runs
-    once, and sums their rational coefficients before attaching pi once.
+    m must be a nonempty multiset of positive integers.  Memoized.  A
+    single degree is summed by the exponential formula (module docstring)
+    without any Wick call.  Otherwise the multilinear expansion picks
+    supports per run of equal degrees and groups equal partition tuples so
+    each distinct Wick evaluation runs once, and sums their rational
+    coefficients before attaching pi once.
     """
     key = tuple(sorted((int(v) for v in m), reverse=True))
     if not key:
@@ -208,10 +249,13 @@ def c_value(m: Iterable[int]) -> PiValue:
 
     # every Wick value here is a monomial in pi^(|a| - n + 2), by grading
     exponent = sum(key) - len(key) + 2
-    total = Fraction(0)
-    for tup, coeff in _grouped_supports(key).items():
-        if coeff:
-            total += wick.multi_bracket(tup).coefficient(exponent) * coeff
+    if len(key) == 1:
+        total = _single_degree_sum(key[0])
+    else:
+        total = Fraction(0)
+        for tup, coeff in _grouped_supports(key).items():
+            if coeff:
+                total += wick.multi_bracket(tup).coefficient(exponent) * coeff
 
     denom = math.factorial(sum(key))
     for v in key:

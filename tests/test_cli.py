@@ -258,6 +258,8 @@ def test_sv_loop_per_angle_takes_zeros_and_angle(capsys):
     ["sv", "1,1", "--kind", "cyl1", "--format", "decimal", "--digits", "-3"],
     ["volume", "2", "--max-weight", "-1"],
     ["table", "--max-weight", "0"],
+    ["table", "--max-size", "-3"],
+    ["table", "--max-size", "1", "--format", "json"],
     ["principal", "2", "--verify", "--max-weight", "-5"],
 ])
 def test_numeric_flags_checked_before_any_computation(argv, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from mvvol import exact_arith, f_expansion
+from mvvol import bracket, exact_arith, f_expansion, volumes, wick
 from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
 from mvvol.f_expansion import capital_f
@@ -25,6 +25,7 @@ from mvvol.volumes import (
     principal_volume,
     volume,
 )
+from mvvol.wick import multi_bracket
 
 
 def mono(num, den, exp):
@@ -113,6 +114,23 @@ def test_grouped_supports_match_product_expansion():
     assert _grouped_supports((3,) * 6) == product_and_group((3,) * 6)
 
 
+def support_sum(k):
+    # c_value((k,)) as one Wick call per support of capital_f(k)
+    total = Fraction(0)
+    for lam, coeff in capital_f(k).items():
+        total += multi_bracket((lam,)).coefficient(k + 1) * coeff
+    return PiValue.from_graded(total / (math.factorial(k) * k), k + 1)
+
+
+def test_single_degree_series_matches_support_sum():
+    # k = 1 is the torus; even k vanish by the grading
+    clear_caches()
+    for k in range(1, 31):
+        value = c_value((k,))
+        assert value == support_sum(k), k
+        assert value.is_zero() == (k % 2 == 0), k
+
+
 def test_c_value_errors():
     with pytest.raises(ValueError):
         c_value(())
@@ -160,16 +178,23 @@ def test_volume_result_fields():
     assert res.pi_exponent == 4
     assert res.terms_evaluated > 0
     assert res.elapsed >= 0.0
+    # a single zero is summed without asking multi_bracket for anything
+    assert volume(Stratum([4])).terms_evaluated == 0
 
 
 def test_clear_caches_empties_every_memo():
+    # a single-degree stratum skips capital_f and the Wick memo, so fill
+    # them through a stratum with two zeros
     memos = (exact_arith.bernoulli, exact_arith.zeta_even, exact_arith.frak_z,
              f_expansion._capital_f_items)
+    tables = (bracket._CACHE, wick._CACHE, volumes._C_CACHE, volumes._VOLUME_CACHE)
     clear_caches()
-    volume(Stratum([4]))
+    volume(Stratum([3, 1]))
     assert all(m.cache_info().currsize > 0 for m in memos)
+    assert all(tables)
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+    assert [len(t) for t in tables] == [0, 0, 0, 0]
 
 
 def test_terms_evaluated_counts_only_own_thread():
@@ -291,6 +316,25 @@ def test_equal_parts_ratio_rises_towards_one(family):
         ratios.append(value.to_decimal(30) * math.prod(d + 1 for d in m) / 4)
     assert all(0 < r < 1 for r in ratios), ratios
     assert ratios == sorted(ratios) and len(set(ratios)) == len(ratios), ratios
+
+
+def test_minimal_ratio_rises_towards_one():
+    # vol * (2g - 1) / 4 along H(2g-2): Sauvaget's limit for minimal strata
+    ratios = []
+    for g in range(2, 61):
+        value = volume(Stratum([2 * g - 2]), max_weight=2 * g - 1).value
+        ratios.append(value.to_decimal(30) * (2 * g - 1) / 4)
+    assert all(0 < r < 1 for r in ratios), ratios
+    assert ratios == sorted(ratios) and len(set(ratios)) == len(ratios), ratios
+
+
+def test_minimal_frozen_value():
+    # H(46), g = 24, as computed by one Wick call per capital_f support
+    value = volume(Stratum([46]), max_weight=47).value
+    assert value == mono(
+        187149428799289325632044138166475070083250223965058763267487763965014474566294008242228394573140423331247,
+        1663333788907745280468576606997891693609036822127970772927147722630983546214510361726582748659015149944832000000000000000000000000,
+        48)
 
 
 def test_all_twos_frozen_value():
