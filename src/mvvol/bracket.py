@@ -52,8 +52,6 @@ __all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
 
 # sorted multiset -> rational coefficient of pi^(|m| - n + 2)
 _CACHE: dict[tuple[int, ...], Fraction] = {}
-# sorted multiset -> the PiValue single_bracket hands out for it
-_VALUES: dict[tuple[int, ...], PiValue] = {}
 
 
 def _canonical(m: Iterable[int]) -> tuple[int, ...]:
@@ -170,14 +168,10 @@ def coefficient(mm: tuple[int, ...]) -> Fraction:
 
 
 def single_bracket(m: Iterable[int]) -> PiValue:
-    """Exact correlator of the multiset m; memoized on the sorted multiset."""
+    """Exact correlator of the multiset m, built from the coefficient memo."""
     mm = _canonical(m)
-    value = _VALUES.get(mm)
-    if value is None:
-        value = _VALUES[mm] = PiValue.from_graded(coefficient(mm), sum(mm) - len(mm) + 2)
-    return value
+    return PiValue.from_graded(coefficient(mm), sum(mm) - len(mm) + 2)
 
 
 def clear_cache() -> None:
     _CACHE.clear()
-    _VALUES.clear()

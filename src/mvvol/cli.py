@@ -243,40 +243,24 @@ def _parse_zeros(text: Optional[str]) -> tuple[int, ...]:
 def _cmd_sv(args) -> int:
     st = parse_stratum(args.stratum)
     kind = args.kind
-    if args.zeros is not None and kind in ("sc2", "cyl1", "area1"):
+    spec = siegel_veech.KINDS[kind]
+    if args.zeros is not None and not spec.zeros:
         raise InvalidStratumError(f"--kind {kind} takes no --zeros")
-    if args.angle is not None and kind != "loop_per_angle":
+    if args.angle is not None and not spec.angle:
         raise InvalidStratumError(f"--kind {kind} takes no --angle")
     zeros = _parse_zeros(args.zeros)
-    kw = {"max_weight": args.max_weight}
-    if kind == "sc":
-        if len(zeros) != 2:
-            raise InvalidStratumError("--kind sc needs --zeros i,j")
-        res = siegel_veech.sc_constant(st, *zeros, **kw)
-    elif kind == "sc2":
+    if len(zeros) != spec.zeros or (spec.angle and args.angle is None):
+        wanted = "--zeros " + ",".join("ij"[:spec.zeros])
+        if spec.angle:
+            wanted += " and --angle j"
+        raise InvalidStratumError(f"--kind {kind} needs {wanted}")
+    target = st
+    if kind == "sc2":  # sc2_principal takes the genus of a principal stratum
         if st.stripped != tuple([1] * (2 * st.genus - 2)):
             raise InvalidStratumError("--kind sc2 needs a principal stratum 1,...,1")
-        res = siegel_veech.sc2_principal(st.genus, **kw)
-    elif kind == "loop":
-        if len(zeros) != 1:
-            raise InvalidStratumError("--kind loop needs --zeros i")
-        res = siegel_veech.loop_constant(st, zeros[0], **kw)
-    elif kind == "loop_per_angle":
-        if len(zeros) != 1 or args.angle is None:
-            raise InvalidStratumError("--kind loop_per_angle needs --zeros i and --angle j")
-        res = siegel_veech.loop_per_angle(st, zeros[0], args.angle, **kw)
-    elif kind == "cyl":
-        if len(zeros) != 2:
-            raise InvalidStratumError("--kind cyl needs --zeros i,j")
-        res = siegel_veech.cyl_constant(st, *zeros, **kw)
-    elif kind == "handle":
-        if len(zeros) != 1:
-            raise InvalidStratumError("--kind handle needs --zeros i")
-        res = siegel_veech.handle_constant(st, zeros[0], **kw)
-    elif kind == "cyl1":
-        res = siegel_veech.cyl1_total(st, **kw)
-    else:  # area1
-        res = siegel_veech.area1_constant(st, **kw)
+        target = st.genus
+    angle = (args.angle,) if spec.angle else ()
+    res = getattr(siegel_veech, spec.func)(target, *zeros, *angle, max_weight=args.max_weight)
 
     exp = None if res.value.is_zero() else res.pi_exponent
     deviation = (
@@ -372,10 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument(
         "--kind",
         required=True,
-        choices=("sc", "sc2", "loop", "loop_per_angle", "cyl", "handle", "cyl1", "area1"),
+        choices=tuple(siegel_veech.KINDS),
     )
     p_sv.add_argument("--zeros", default=None, help="1-based zero indices i or i,j")
-    p_sv.add_argument("--angle", type=int, default=None)
+    p_sv.add_argument("--angle", type=_int_in(1), default=None)
     common(p_sv)
     p_sv.set_defaults(func=_cmd_sv)
 

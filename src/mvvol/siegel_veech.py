@@ -1,29 +1,41 @@
 r"""Siegel-Veech constants from exact volume ratios.
 
-Every constant here is a finite combination of volume ratios of strata, so
-each evaluates to an exact rational times a power of pi:
+After Eskin-Masur-Zorich (Publ. IHES 2003), each primitive configuration
+is a combinatorial factor times vol(derived stratum) / vol(s).  The derived
+stratum drops the zeros the configuration touches and gains the boundary
+degrees it leaves behind; the predictor is the same configuration's
+leading large-genus approximation.  So each evaluates to an exact rational
+times a power of pi:
 
-* sc_constant: configurations joining two distinct zeros,
-  (m_i + m_j + 1) * vol(zeros merged) / vol(s); rational (pi-exponent 0).
-* sc2_principal: the genus-splitting correction for principal strata; also
-  rational.
-* loop_per_angle / loop_constant: saddle loops around one zero splitting
-  its cone angle as (2j - 1 | 2(m_i - j) - 1) pi-halves; the derived
-  stratum has genus g - 1, so these carry pi-exponent -2.  The angle pair
-  is counted once; the symmetric split (equal angles, 2j = m_i) keeps a
-  1/2 because the two loop ends are interchangeable.
-* cyl_constant / handle_constant / cyl1_total / area1_constant: cylinders
-  of multiplicity one between two zeros or forming a handle on one zero;
-  pi-exponent -2.
+* sc_constant: connections joining zeros i != j; derived adds m_i + m_j,
+  factor m_i + m_j + 1, predictor (m_i + 1)(m_j + 1); rational.
+* loop_per_angle: loops at zero i splitting its cone angle at j; derived
+  adds j - 1 and m_i - j - 1 (genus g - 1), factor j (m_i - j) and
+  predictor m_i + 1, both halved for the symmetric split because the two
+  loop ends are interchangeable; pi-exponent -2.
+* cyl_constant: multiplicity-one cylinders between zeros i != j; derived
+  adds m_i - 1 and m_j - 1, factor m_i m_j / (D - 2) with D the complex
+  dimension, predictor (m_i + 1)(m_j + 1) / (D - 2); pi-exponent -2.
+* handle_constant: such a cylinder forming a handle on zero i; derived
+  adds m_i - 2, factor (m_i - 1)^2 / (2 (D - 2)), predictor
+  (m_i + 1)(m_i - 1) / (2 (D - 2)); pi-exponent -2.
 
-Each result also carries the leading large-genus approximation of the same
-constant ("predictor") and a flag set when the stratum's shape admits more
+Configurations that cannot occur (loops or handles on a simple zero) are
+an exact 0 with predictor 0.  The rest are sums: loop_constant over the
+unordered angle splits at one zero, cyl1_total over every zero pair and
+handle, area1_constant = cyl1_total / (D - 1), and sc2_principal, the
+genus-splitting correction for principal strata (products of two smaller
+principal volumes; rational).
+
+Each result also carries a flag set when the stratum's shape admits more
 than one connected component (all degrees even, or two equal degrees
 g - 1); the volume here is that of the whole stratum either way, which is
 only the literal Siegel-Veech constant on connected strata.
 
-Zero indices i, j are 1-based positions in Stratum.degrees (canonical
-decreasing order).
+KINDS maps each kind name to its function's name in this module, the
+number of zero indices it takes and whether it takes an angle; the CLI
+reads its choices, arity checks and dispatch from it.  Zero indices i, j
+are 1-based positions in Stratum.degrees (canonical decreasing order).
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .exact_arith import PiValue
 from .volumes import (
@@ -44,6 +56,7 @@ from .volumes import (
 
 __all__ = [
     "SVResult",
+    "KINDS",
     "sc_constant",
     "sc2_principal",
     "loop_per_angle",
@@ -72,6 +85,24 @@ class SVResult:
         return self.value.monomial()[1]
 
 
+class Kind(NamedTuple):
+    func: str  # name of the function in this module, looked up per call
+    zeros: int  # number of zero indices it takes
+    angle: bool  # whether it takes an angle index
+
+
+KINDS: dict[str, Kind] = {
+    "sc": Kind("sc_constant", 2, False),
+    "sc2": Kind("sc2_principal", 0, False),
+    "loop": Kind("loop_constant", 1, False),
+    "loop_per_angle": Kind("loop_per_angle", 1, True),
+    "cyl": Kind("cyl_constant", 2, False),
+    "handle": Kind("handle_constant", 1, False),
+    "cyl1": Kind("cyl1_total", 0, False),
+    "area1": Kind("area1_constant", 0, False),
+}
+
+
 def _maybe_disconnected(st: Stratum) -> bool:
     # extra (hyperelliptic / spin) components occur only for g >= 3, and
     # only for all-even degree shapes or for two equal degrees g - 1
@@ -89,10 +120,18 @@ def _degree(st: Stratum, i: int) -> int:
     return st.degrees[i - 1]
 
 
-def _ratio(numer: StratumLike, denom: Stratum, max_weight: int) -> PiValue:
-    top = volume(numer, max_weight=max_weight).value
-    bot = volume(denom, max_weight=max_weight).value
-    return top / bot
+def _result(kind: str, st: Stratum, value: PiValue, predictor, zeros=None, angle=None) -> SVResult:
+    return SVResult(kind, value, Fraction(predictor), st, zeros, angle, _maybe_disconnected(st))
+
+
+def _config(kind: str, st: Stratum, zeros: tuple[int, ...], added: Sequence[int],
+            factor, predictor, max_weight: int, angle: Optional[int] = None) -> SVResult:
+    """factor * vol(derived) / vol(st), the derived stratum dropping the
+    zeros at the indices `zeros` and gaining the degrees `added`."""
+    rest = [d for k, d in enumerate(st.degrees, 1) if k not in zeros]
+    top = volume(Stratum(rest + list(added)), max_weight=max_weight).value
+    bot = volume(st, max_weight=max_weight).value
+    return _result(kind, st, top / bot * factor, predictor, zeros, angle)
 
 
 def sc_constant(s: StratumLike, i: int, j: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
@@ -101,19 +140,7 @@ def sc_constant(s: StratumLike, i: int, j: int, max_weight: int = DEFAULT_MAX_WE
     if i == j:
         raise ValueError("sc_constant needs two distinct zeros")
     mi, mj = _degree(st, i), _degree(st, j)
-    merged = list(st.degrees)
-    for idx in sorted((i - 1, j - 1), reverse=True):
-        del merged[idx]
-    merged.append(mi + mj)
-    value = (mi + mj + 1) * _ratio(Stratum(merged), st, max_weight)
-    return SVResult(
-        kind="sc",
-        value=value,
-        predictor=Fraction((mi + 1) * (mj + 1)),
-        stratum=st,
-        zeros=(i, j),
-        multiple_components_possible=_maybe_disconnected(st),
-    )
+    return _config("sc", st, (i, j), (mi + mj,), mi + mj + 1, (mi + 1) * (mj + 1), max_weight)
 
 
 def sc2_principal(g: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
@@ -140,13 +167,7 @@ def sc2_principal(g: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
         v1 = volume(Stratum([1] * (2 * g1 - 2)), max_weight=max_weight).value
         v2 = volume(Stratum([1] * (2 * g2 - 2)), max_weight=max_weight).value
         total += (v1 * v2 / whole) * a
-    return SVResult(
-        kind="sc2",
-        value=total / 4,
-        predictor=Fraction(0),
-        stratum=st,
-        multiple_components_possible=_maybe_disconnected(st),
-    )
+    return _result("sc2", st, total / 4, 0)
 
 
 def loop_per_angle(
@@ -160,33 +181,19 @@ def loop_per_angle(
     The loop cuts the degree-m_i cone point into boundary orders
     b' = j - 1 and b'' = m_i - j - 1; the surviving surface loses a handle.
     The symmetric split b' = b'' carries the extra 1/2.  Simple zeros bound
-    no loops at all, so m_i < 2 returns an exact 0.
+    no loops at all, so m_i < 2 returns an exact 0 for any j >= 1.
     """
     st = _as_stratum(s)
     mi = _degree(st, i)
-    warn = _maybe_disconnected(st)
-    if mi < 2:
-        return SVResult(
-            kind="loop", value=PiValue.zero(), predictor=Fraction(0),
-            stratum=st, zeros=(i,), angle=j,
-            multiple_components_possible=warn,
-        )
-    if not 1 <= j <= mi - 1:
+    if j < 1 or (mi >= 2 and j >= mi):
         raise ValueError(f"angle index {j} out of range for a degree-{mi} zero")
+    if mi < 2:
+        return _result("loop_per_angle", st, PiValue.zero(), 0, (i,), j)
     b1, b2 = j - 1, mi - j - 1
-    rest = list(st.degrees)
-    del rest[i - 1]
-    rest.extend((b1, b2))
     sym = 2 if b1 == b2 else 1
-    value = _ratio(Stratum(rest), st, max_weight) * Fraction((b1 + 1) * (b2 + 1), sym)
-    return SVResult(
-        kind="loop_per_angle",
-        value=value,
-        predictor=Fraction(mi + 1, sym),
-        stratum=st,
-        zeros=(i,),
-        angle=j,
-        multiple_components_possible=warn,
+    return _config(
+        "loop_per_angle", st, (i,), (b1, b2),
+        Fraction((b1 + 1) * (b2 + 1), sym), Fraction(mi + 1, sym), max_weight, angle=j,
     )
 
 
@@ -198,14 +205,7 @@ def loop_constant(s: StratumLike, i: int, max_weight: int = DEFAULT_MAX_WEIGHT) 
     total = PiValue.zero()
     for j in range(1, mi // 2 + 1):
         total += loop_per_angle(st, i, j, max_weight=max_weight).value
-    return SVResult(
-        kind="loop",
-        value=total,
-        predictor=Fraction((mi + 1) * (mi - 1), 2),
-        stratum=st,
-        zeros=(i,),
-        multiple_components_possible=_maybe_disconnected(st),
-    )
+    return _result("loop", st, total, Fraction((mi + 1) * (mi - 1), 2), (i,))
 
 
 def cyl_constant(s: StratumLike, i: int, j: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
@@ -219,19 +219,10 @@ def cyl_constant(s: StratumLike, i: int, j: int, max_weight: int = DEFAULT_MAX_W
         raise ValueError("cyl_constant needs zeros of positive degree")
     if st.genus < 2:
         raise ValueError("cyl_constant needs genus >= 2")
-    rest = list(st.degrees)
-    for idx in sorted((i - 1, j - 1), reverse=True):
-        del rest[idx]
-    rest.extend((mi - 1, mj - 1))
-    dim = st.dim_complex
-    value = _ratio(Stratum(rest), st, max_weight) * Fraction(mi * mj, dim - 2)
-    return SVResult(
-        kind="cyl",
-        value=value,
-        predictor=Fraction((mi + 1) * (mj + 1), dim - 2),
-        stratum=st,
-        zeros=(i, j),
-        multiple_components_possible=_maybe_disconnected(st),
+    d2 = st.dim_complex - 2
+    return _config(
+        "cyl", st, (i, j), (mi - 1, mj - 1),
+        Fraction(mi * mj, d2), Fraction((mi + 1) * (mj + 1), d2), max_weight,
     )
 
 
@@ -244,24 +235,12 @@ def handle_constant(s: StratumLike, i: int, max_weight: int = DEFAULT_MAX_WEIGHT
         raise ValueError("handle_constant needs a zero of positive degree")
     if st.genus < 2:
         raise ValueError("handle_constant needs genus >= 2")
-    dim = st.dim_complex
-    warn = _maybe_disconnected(st)
     if mi == 1:
-        return SVResult(
-            kind="handle", value=PiValue.zero(), predictor=Fraction(0),
-            stratum=st, zeros=(i,), multiple_components_possible=warn,
-        )
-    rest = list(st.degrees)
-    del rest[i - 1]
-    rest.append(mi - 2)
-    value = _ratio(Stratum(rest), st, max_weight) * Fraction((mi - 1) ** 2, 2 * (dim - 2))
-    return SVResult(
-        kind="handle",
-        value=value,
-        predictor=Fraction((mi + 1) * (mi - 1), 2 * (dim - 2)),
-        stratum=st,
-        zeros=(i,),
-        multiple_components_possible=warn,
+        return _result("handle", st, PiValue.zero(), 0, (i,))
+    d2 = st.dim_complex - 2
+    return _config(
+        "handle", st, (i,), (mi - 2,),
+        Fraction((mi - 1) ** 2, 2 * d2), Fraction((mi + 1) * (mi - 1), 2 * d2), max_weight,
     )
 
 
@@ -279,13 +258,7 @@ def cyl1_total(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult
             total += cyl_constant(st, i, j, max_weight=max_weight).value
         total += handle_constant(st, i, max_weight=max_weight).value
     d2 = st.dim_complex - 2
-    return SVResult(
-        kind="cyl1",
-        value=total,
-        predictor=Fraction(d2, 2) - Fraction(1, 2 * d2),
-        stratum=st,
-        multiple_components_possible=_maybe_disconnected(st),
-    )
+    return _result("cyl1", st, total, Fraction(d2, 2) - Fraction(1, 2 * d2))
 
 
 def area1_constant(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
@@ -293,10 +266,4 @@ def area1_constant(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVRe
     Tends to 1/2 for large genus."""
     st = _as_stratum(s)
     inner = cyl1_total(st, max_weight=max_weight)
-    return SVResult(
-        kind="area1",
-        value=inner.value / (st.dim_complex - 1),
-        predictor=Fraction(1, 2),
-        stratum=st,
-        multiple_components_possible=inner.multiple_components_possible,
-    )
+    return _result("area1", st, inner.value / (st.dim_complex - 1), Fraction(1, 2))

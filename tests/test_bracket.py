@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvvol import bracket
 from mvvol.bracket import _block_term_sum, _z, clear_cache, error_term, single_bracket
 from mvvol.combinatorics import nonneg_compositions, partitions_of_size, set_partitions
 from mvvol.exact_arith import PiValue, frak_z
@@ -161,13 +162,17 @@ def test_homogeneity_and_parity():
                 assert e == s - n + 2, lam
 
 
-def test_symmetry_under_reordering():
+def test_symmetry_under_reordering(monkeypatch):
     assert single_bracket((2, 3, 1, 3)) == single_bracket((3, 3, 2, 1))
     assert error_term((4, 1, 1)) == error_term((1, 4, 1))
-    # memo hands back the same object for the same multiset
-    a = single_bracket((3, 1, 2))
-    b = single_bracket((1, 2, 3))
-    assert a is b
+    # both orders share one memo entry: the second never reaches error_term
+    a = single_bracket((3, 1, 1))
+
+    def refuse(m):
+        raise AssertionError(f"error_term recomputed for {m}")
+
+    monkeypatch.setattr(bracket, "error_term", refuse)
+    assert single_bracket((1, 3, 1)) == a
 
 
 def test_cache_clears():

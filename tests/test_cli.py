@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import mvvol.cli as cli
+from mvvol import siegel_veech
 from mvvol.cli import main, parse_stratum
 from mvvol.volumes import InvalidStratumError, Stratum, clear_caches
 
@@ -209,9 +210,28 @@ def test_sv_sc2_requires_principal(capsys):
     assert "value: 5/8" in out
 
 
-def test_sv_missing_zeros(capsys):
-    code, _, err = run(["sv", "1,1", "--kind", "sc"], capsys)
-    assert code == 2
+def refuse(*args, **kwargs):
+    raise AssertionError("computed a volume for a refused request")
+
+
+@pytest.mark.parametrize("kind", [k for k, spec in siegel_veech.KINDS.items() if spec.zeros])
+def test_sv_missing_zeros(kind, capsys, monkeypatch):
+    # one zero index too few and one too many, both refused before any volume
+    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
+    spec = siegel_veech.KINDS[kind]
+    angle = ["--angle", "1"] if spec.angle else []
+    for n in (spec.zeros - 1, spec.zeros + 1):
+        zeros = ["--zeros", ",".join("123"[:n])] if n else []
+        code, out, err = run(["sv", "2,1,1", "--kind", kind, *zeros, *angle], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: --kind {kind} needs --zeros" in err
+
+
+def test_sv_kind_choices_are_the_kinds_table():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "verb")
+    kind = next(a for a in sub.choices["sv"]._actions if a.dest == "kind")
+    assert list(kind.choices) == list(siegel_veech.KINDS)
 
 
 # each kind with a flag it does not use; loop_per_angle uses both
@@ -228,9 +248,6 @@ SV_IGNORED_FLAGS = {
 
 @pytest.mark.parametrize("kind", sorted(SV_IGNORED_FLAGS))
 def test_sv_rejects_flags_its_kind_ignores(kind, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("computed a volume for a refused request")
-
     monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
     stratum, *flags = SV_IGNORED_FLAGS[kind]
     code, out, err = run(["sv", stratum, "--kind", kind, *flags], capsys)
@@ -261,11 +278,9 @@ def test_sv_loop_per_angle_takes_zeros_and_angle(capsys):
     ["table", "--max-size", "-3"],
     ["table", "--max-size", "1", "--format", "json"],
     ["principal", "2", "--verify", "--max-weight", "-5"],
+    ["sv", "3,1", "--kind", "loop_per_angle", "--zeros", "1", "--angle", "0"],
 ])
 def test_numeric_flags_checked_before_any_computation(argv, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("computed a volume for a refused request")
-
     for name in ("volume", "principal_volume"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(cli.siegel_veech, "volume", refuse)

@@ -78,9 +78,12 @@ def test_loop_per_angle_frozen_values():
 def test_loop_on_simple_zero_is_zero():
     r = loop_per_angle(Stratum([1, 1]), 1, 1)
     assert r.value.is_zero()
-    assert r.kind == "loop"
+    assert r.kind == "loop_per_angle"
     assert r.predictor == 0
     assert loop_constant(Stratum([1, 1]), 2).value.is_zero()
+    # a simple zero takes any angle index j >= 1, but no other
+    with pytest.raises(ValueError):
+        loop_per_angle(Stratum([1, 1]), 1, 0)
 
 
 def test_loop_angle_range():
