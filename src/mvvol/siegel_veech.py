@@ -20,12 +20,13 @@ times a power of pi:
   adds m_i - 2, factor (m_i - 1)^2 / (2 (D - 2)), predictor
   (m_i + 1)(m_i - 1) / (2 (D - 2)); pi-exponent -2.
 
-Configurations that cannot occur (loops or handles on a simple zero) are
-an exact 0 with predictor 0.  The rest are sums: loop_constant over the
-unordered angle splits at one zero, cyl1_total over every zero pair and
-handle, area1_constant = cyl1_total / (D - 1), and sc2_principal, the
-genus-splitting correction for principal strata (products of two smaller
-principal volumes; rational).
+Configurations that cannot occur (loops on a zero of degree below 2,
+handles on a simple zero) are an exact 0 with predictor 0.  The rest are
+sums: loop_constant over the unordered angle splits at one zero,
+cyl1_total over every zero pair and handle, area1_constant =
+cyl1_total / (D - 1), and sc2_principal, the genus-splitting correction
+for principal strata (products of two smaller principal volumes;
+rational).
 
 Each result also carries a flag set when the stratum's shape admits more
 than one connected component (all degrees even, or two equal degrees
@@ -199,9 +200,12 @@ def loop_per_angle(
 
 def loop_constant(s: StratumLike, i: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     """All saddle loops at zero i: per-angle constants summed over unordered
-    angle pairs (j and m_i - j give the same configuration)."""
+    angle pairs (j and m_i - j give the same configuration).  A zero of
+    degree below 2 bounds no loops: exact 0 with predictor 0."""
     st = _as_stratum(s)
     mi = _degree(st, i)
+    if mi < 2:
+        return _result("loop", st, PiValue.zero(), 0, (i,))
     total = PiValue.zero()
     for j in range(1, mi // 2 + 1):
         total += loop_per_angle(st, i, j, max_weight=max_weight).value

@@ -22,7 +22,25 @@ exponential formula the support sum is
 
     [x^(k+1)] exp(-k B(x)) / (-k),    B(x) = sum_{v=1..k} b(v) x^(v+1),
 
-a power series taken in O(k^2) Fraction operations.
+a power series taken in O(k^2) Fraction operations.  Write
+L_k(n) = [x^n] exp(-k B(x)).
+
+Two degrees (k1, k2) need no Wick call either.  A complement of the pair
+(lam, mu) has exactly one core block, joining one part u of lam and one
+part v of mu (some block must join the two arguments, and two such
+blocks would close a cycle in the block-incidence tree), and every other
+slot is a block of its own.  So
+the Wick value of (lam, mu) is the sum over the marked pair (u, v) of
+b(u, v) times the b of every other part, with
+b(u, v) = bracket.coefficient((max(u, v), min(u, v))).  Marking one part
+of each support in the exponential formula turns exp(-k B) into
+(-k F) exp(-k B), F being the series of the marked part; the (-k) cancels
+the support weight's 1/(-k), and the support sum is
+
+    sum_{u=1..k1} sum_{v=1..k2} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v),
+
+again O(k1^2 + k2^2 + k1 k2) Fraction operations.  Three or more degrees
+go through wick.multi_bracket.
 
 The genus-1 edge cases H() and H(0, ..., 0) are normalized through
 c_value((1,)) = pi^2/6, giving the torus volume pi^2/3.
@@ -152,9 +170,11 @@ def _as_stratum(s: StratumLike) -> Stratum:
 class VolumeResult:
     """Exact volume of a stratum plus its large-genus comparison data.
 
-    terms_evaluated is the number of Wick summands of the argument tuples
-    this call asked multi_bracket for first (wick.term_count); it is 0 for
-    a cached stratum and for a single-zero stratum, which asks for none.
+    terms_evaluated is the number of Wick summands that multi_bracket
+    evaluated for this call: the complements of the argument tuples this
+    call asked for first (wick.term_count).  It is 0 for a cached stratum
+    and for strata with one or two zeros, which are summed in closed form
+    and ask multi_bracket for nothing.
     """
 
     stratum: Stratum
@@ -205,16 +225,15 @@ def _grouped_supports(key: tuple[int, ...]) -> dict[tuple[Partition, ...], Fract
     return grouped
 
 
-def _single_degree_sum(k: int) -> Fraction:
-    """Coefficient of pi^(k+1) in sum over supports lam of capital_f(k) of
-    its weight times multi_bracket((lam,)), as [x^(k+1)] exp(-k B(x)) / (-k).
+def _exp_series(k: int, top: int) -> list[Fraction]:
+    """Coefficients L_k(0), ..., L_k(top) of exp(-k B(x)) (module docstring).
 
     E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
     n E_n = -k * sum_j j B_j E_(n-j).
     """
-    top = k + 1
-    # (j, j * B_j) for the nonzero B_j; b(v) vanishes for even v by grading
-    slopes = [(v + 1, (v + 1) * b) for v in range(1, k + 1)
+    # (j, j * B_j) for the nonzero B_j with j <= top; b(v) vanishes for
+    # even v by grading
+    slopes = [(v + 1, (v + 1) * b) for v in range(1, top)
               if (b := bracket.coefficient((v,)))]
     e = [Fraction(1)] + [Fraction(0)] * top
     for n in range(1, top + 1):
@@ -225,18 +244,46 @@ def _single_degree_sum(k: int) -> Fraction:
             if e[n - j]:
                 acc += jb * e[n - j]
         e[n] = acc * Fraction(-k, n)
-    return e[top] / -k
+    return e
+
+
+def _single_degree_sum(k: int) -> Fraction:
+    """Coefficient of pi^(k+1) in sum over supports lam of capital_f(k) of
+    its weight times multi_bracket((lam,)), as [x^(k+1)] exp(-k B(x)) / (-k)."""
+    return _exp_series(k, k + 1)[k + 1] / -k
+
+
+def _two_degree_sum(k1: int, k2: int) -> Fraction:
+    """Coefficient of pi^(k1+k2) in sum over supports (lam, mu) of
+    capital_f(k1) capital_f(k2) of their weights times
+    multi_bracket((lam, mu)), as
+    sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v) (module docstring)."""
+    l1 = _exp_series(k1, k1 - 1)
+    l2 = l1 if k2 == k1 else _exp_series(k2, k2 - 1)
+    total = Fraction(0)
+    for u in range(1, k1 + 1):
+        a = l1[k1 - u]
+        if not a:
+            continue
+        for v in range(1, k2 + 1):
+            c = l2[k2 - v]
+            if c:
+                total += bracket.coefficient((u, v) if u >= v else (v, u)) * a * c
+    return total
 
 
 def c_value(m: Iterable[int]) -> PiValue:
     """Normalized correlator of the incremented degree multiset.
 
-    m must be a nonempty multiset of positive integers.  Memoized.  A
-    single degree is summed by the exponential formula (module docstring)
-    without any Wick call.  Otherwise the multilinear expansion picks
-    supports per run of equal degrees and groups equal partition tuples so
-    each distinct Wick evaluation runs once, and sums their rational
-    coefficients before attaching pi once.
+    m must be a nonempty multiset of positive integers.  Memoized.  One
+    or two degrees are summed by the exponential formula without any Wick
+    call (module docstring): one degree is [x^(k+1)] exp(-k B) / (-k); for
+    two, each complement has one core block, and marking its slot in each
+    support turns exp(-k B) into (-k F) exp(-k B), so the sum is
+    sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  Otherwise the
+    multilinear expansion picks supports per run of equal degrees and
+    groups equal partition tuples so each distinct Wick evaluation runs
+    once, and sums their rational coefficients before attaching pi once.
     """
     key = tuple(sorted((int(v) for v in m), reverse=True))
     if not key:
@@ -251,6 +298,8 @@ def c_value(m: Iterable[int]) -> PiValue:
     exponent = sum(key) - len(key) + 2
     if len(key) == 1:
         total = _single_degree_sum(key[0])
+    elif len(key) == 2:
+        total = _two_degree_sum(*key)
     else:
         total = Fraction(0)
         for tup, coeff in _grouped_supports(key).items():

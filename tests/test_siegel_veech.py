@@ -101,6 +101,13 @@ def test_loop_constant_frozen_values():
     assert loop_constant(Stratum([3, 1]), 1).predictor == 4
 
 
+def test_loop_on_marked_point_has_predictor_zero():
+    # a degree-0 zero bounds no loops; its predictor is 0, not (0+1)(0-1)/2
+    r = loop_constant(Stratum([2, 0]), 2)
+    assert r.value.is_zero()
+    assert r.predictor == 0
+
+
 def test_loop_constant_sums_unordered_angle_pairs():
     # degree 4: pairs {0,2} and {1,1}; the second carries the 1/2
     a = loop_per_angle(Stratum([4]), 1, 1).value

@@ -15,6 +15,7 @@ from mvvol.f_expansion import capital_f
 from mvvol.volumes import (
     DEFAULT_MAX_WEIGHT,
     _grouped_supports,
+    _two_degree_sum,
     InfeasibleSizeError,
     InvalidStratumError,
     Stratum,
@@ -131,6 +132,36 @@ def test_single_degree_series_matches_support_sum():
         assert value.is_zero() == (k % 2 == 0), k
 
 
+def grouped_support_sum(key):
+    # the sum of c_value(key) before normalization, by one Wick call per
+    # grouped support tuple
+    exponent = sum(key) - len(key) + 2
+    total = Fraction(0)
+    for tup, coeff in _grouped_supports(key).items():
+        total += multi_bracket(tup).coefficient(exponent) * coeff
+    return total
+
+
+def test_two_degree_sum_matches_grouped_supports():
+    # odd k1 + k2 included: both sides vanish there by the grading
+    clear_caches()
+    keys = [(k1, k2) for k1 in range(1, 11) for k2 in range(1, k1 + 1)]
+    for key in keys + [(13, 13), (17, 9)]:
+        assert _two_degree_sum(*key) == grouped_support_sum(key), key
+
+
+def test_closed_forms_make_no_wick_call(monkeypatch):
+    def refuse(args):
+        raise AssertionError(f"multi_bracket called on {args}")
+
+    clear_caches()
+    monkeypatch.setattr(wick, "multi_bracket", refuse)
+    for key in ((7,), (12, 12), (9, 4), (5, 1)):
+        c_value(key)
+    with pytest.raises(AssertionError):
+        c_value((3, 2, 1))
+
+
 def test_c_value_errors():
     with pytest.raises(ValueError):
         c_value(())
@@ -176,20 +207,21 @@ def test_volume_result_fields():
     assert res.prediction == 1
     assert res.relative_error == Decimal("-0.278451177525908")
     assert res.pi_exponent == 4
-    assert res.terms_evaluated > 0
     assert res.elapsed >= 0.0
-    # a single zero is summed without asking multi_bracket for anything
+    # one or two zeros are summed without asking multi_bracket for anything
+    assert res.terms_evaluated == 0
     assert volume(Stratum([4])).terms_evaluated == 0
+    assert volume(Stratum([2, 1, 1])).terms_evaluated > 0
 
 
 def test_clear_caches_empties_every_memo():
-    # a single-degree stratum skips capital_f and the Wick memo, so fill
-    # them through a stratum with two zeros
+    # strata with one or two zeros skip capital_f and the Wick memo, so
+    # fill them through a stratum with three zeros
     memos = (exact_arith.bernoulli, exact_arith.zeta_even, exact_arith.frak_z,
              f_expansion._capital_f_items)
     tables = (bracket._CACHE, wick._CACHE, volumes._C_CACHE, volumes._VOLUME_CACHE)
     clear_caches()
-    volume(Stratum([3, 1]))
+    volume(Stratum([2, 1, 1]))
     assert all(m.cache_info().currsize > 0 for m in memos)
     assert all(tables)
     clear_caches()
@@ -198,7 +230,7 @@ def test_clear_caches_empties_every_memo():
 
 
 def test_terms_evaluated_counts_only_own_thread():
-    strata = ((2, 2, 2, 2), (3, 3))
+    strata = ((2, 2, 2, 2), (3, 2, 1))
     alone = {}
     for m in strata:
         clear_caches()
