@@ -12,13 +12,19 @@ H(...), e.g. "2,1,1" or "H(3,1)".  Exit codes: 0 success, 2 invalid input,
 3 infeasible size (raise --max-weight to force), 4 selftest failure.
 
 A JSON volume cache can be kept across runs with --cache PATH; the
-MV_CACHE environment variable overrides the flag.  Cached entries are
-exact (num/den/pi_exp) and re-checked against the pi^(2g) grading on load.
+MV_CACHE environment variable overrides the flag.  The file is format 2:
+{"version": 2, "entries": {key: {"num", "den", "pi_exp", "crc32"}}}, with
+the canonical stratum key, num and den as digit strings, and crc32 the
+binascii.crc32 of "key|num|den|pi_exp".  On load every key, field, checksum
+and the pi^(2g) grading are checked; a file that fails any check, or of
+another version, exits 2.  The checksum catches corruption and hand edits,
+not an edit that recomputes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import binascii
 import json
 import os
 import sys
@@ -41,7 +47,7 @@ from .volumes import (
 
 __all__ = ["main", "entry", "parse_stratum", "load_cache", "save_cache", "CacheError"]
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class CacheError(ValueError):
@@ -69,10 +75,33 @@ def _cache_path(flag_value: Optional[str]) -> Optional[str]:
     return os.environ.get("MV_CACHE") or flag_value
 
 
+def _key_degrees(key: str) -> tuple[int, ...]:
+    """Degrees of a canonical cache key, as Stratum.key spells them:
+    positive, non-increasing, with an even sum.  ValueError otherwise."""
+    degrees = tuple(map(int, key.split(","))) if key else ()
+    top = degrees[0] if degrees else 0
+    for d in degrees:
+        if not 0 < d <= top:
+            raise ValueError(f"degrees must be positive and non-increasing: {key!r}")
+        top = d
+    if sum(degrees) % 2 or ",".join(map(str, degrees)) != key:
+        raise ValueError(f"not a canonical stratum key: {key!r}")
+    return degrees
+
+
+def _is_digits(text: object) -> bool:
+    return isinstance(text, str) and text.isascii() and text.isdigit()
+
+
+def _checksum(key: str, num: str, den: str, pi_exp: int) -> int:
+    return binascii.crc32(f"{key}|{num}|{den}|{pi_exp}".encode())
+
+
 def load_cache(path: str) -> set[tuple[int, ...]]:
     """Populate the volume memo from a cache file written by save_cache.
 
     Returns the keys the file holds (none if it does not exist yet).
+    Anything save_cache would not have written raises CacheError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,27 +110,42 @@ def load_cache(path: str) -> set[tuple[int, ...]]:
         return set()
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-        raise CacheError(f"cache {path} has unsupported version {data.get('version')!r}")
+    if not isinstance(data, dict):
+        raise CacheError(f"cache {path} is not a JSON object")
+    if data.get("version") != CACHE_VERSION:
+        raise CacheError(f"cache {path} has unsupported version {data.get('version')!r}; "
+                         "delete it to rebuild")
+    entries = data.get("entries")
+    if not isinstance(entries, dict):
+        raise CacheError(f"cache {path} has no entries object")
     memo = volumes.volume_cache()
     loaded = set()
-    for key, rec in data.get("entries", {}).items():
+    for key, rec in entries.items():
         try:
-            degrees = tuple(int(t) for t in key.split(",")) if key else ()
-            canonical = Stratum(degrees).key  # InvalidStratumError is a ValueError
-            num, den = int(rec["num"]), int(rec["den"])
-            exp = int(rec["pi_exp"])
-        except (ValueError, KeyError, TypeError) as exc:
+            degrees = _key_degrees(key)
+        except ValueError as exc:
+            raise CacheError(
+                f"cache entry {key!r} in {path} is not a canonical stratum key"
+            ) from exc
+        if not isinstance(rec, dict):
+            raise CacheError(f"malformed cache entry {key!r} in {path}")
+        num, den, exp = rec.get("num"), rec.get("den"), rec.get("pi_exp")
+        if not (_is_digits(num) and _is_digits(den) and type(exp) is int):
+            raise CacheError(f"malformed cache entry {key!r} in {path}")
+        crc = rec.get("crc32")
+        if type(crc) is not int or crc != _checksum(key, num, den, exp):
+            raise CacheError(f"cache entry {key!r} in {path} fails its checksum")
+        try:
+            num, den = int(num), int(den)
+        except ValueError as exc:  # more digits than int() converts
             raise CacheError(f"malformed cache entry {key!r} in {path}") from exc
-        if key != canonical:
-            raise CacheError(f"cache entry {key!r} in {path} is not the canonical key {canonical!r}")
-        if num <= 0 or den <= 0:
+        if num == 0 or den == 0:
             raise CacheError(f"malformed cache entry {key!r} in {path}")
         if exp != sum(degrees) + 2:
             raise CacheError(
                 f"cache entry {key!r} claims pi-exponent {exp}, expected {sum(degrees) + 2}"
             )
-        memo[degrees] = PiValue([(exp, Fraction(num, den))])
+        memo[degrees] = PiValue.from_graded(Fraction(num, den), exp)
         loaded.add(degrees)
     return loaded
 
@@ -112,7 +156,8 @@ def save_cache(path: str) -> None:
     for degrees, value in volumes.volume_cache().items():
         q, e = value.monomial()
         key = ",".join(str(d) for d in degrees)
-        entries[key] = {"num": str(q.numerator), "den": str(q.denominator), "pi_exp": e}
+        num, den = str(q.numerator), str(q.denominator)
+        entries[key] = {"num": num, "den": den, "pi_exp": e, "crc32": _checksum(key, num, den, e)}
     payload = {"version": CACHE_VERSION, "entries": entries}
     # write beside the target and rename over it, so a failed dump leaves
     # the old file whole; plain open keeps the umask permissions

@@ -18,10 +18,11 @@ k = 0 value encodes the zeta(0) = -1/2 convention: (2 - 2^2) * (-1/2) = 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 __all__ = [
     "PI_DIGITS",
@@ -85,8 +86,20 @@ class PiValue:
     @classmethod
     def from_graded(cls, q: RationalLike, exponent: int) -> "PiValue":
         """q * pi^exponent where a grading fixes the exponent: zero when q
-        is zero, whose exponent may then be odd (its terms all vanished)."""
-        return cls([(exponent, q)]) if q else cls()
+        is zero, whose exponent may then be odd (its terms all vanished).
+
+        Builds its one term directly: the same value as
+        PiValue([(exponent, q)]), and the same errors for a nonzero int or
+        Fraction q; a float q raises TypeError whatever its exponent.
+        """
+        q = _as_fraction(q)
+        if not q:
+            return cls()
+        if not isinstance(exponent, int) or exponent % 2 != 0:
+            raise ValueError(f"pi-exponent must be an even integer, got {exponent!r}")
+        value = cls.__new__(cls)
+        value._terms = ((exponent, q),)
+        return value
 
     # -- structure --------------------------------------------------------
 

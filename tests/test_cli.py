@@ -1,3 +1,5 @@
+import binascii
+import itertools
 import json
 import os
 import sys
@@ -7,6 +9,7 @@ import pytest
 import mvvol.cli as cli
 from mvvol import siegel_veech
 from mvvol.cli import main, parse_stratum
+from mvvol.combinatorics import partitions_of_size
 from mvvol.volumes import InvalidStratumError, Stratum, clear_caches
 
 
@@ -305,6 +308,16 @@ def test_numeric_flag_bounds_are_inclusive(capsys):
 # -- cache file ---------------------------------------------------------------------
 
 
+def cache_entry(key, num, den, pi_exp):
+    """A cache record in the layout save_cache writes, checksum included."""
+    crc = binascii.crc32(f"{key}|{num}|{den}|{pi_exp}".encode())
+    return {"num": num, "den": den, "pi_exp": pi_exp, "crc32": crc}
+
+
+def write_cache(path, entries, version=2):
+    path.write_text(json.dumps({"version": version, "entries": entries}))
+
+
 def test_cache_round_trip(tmp_path, capsys):
     path = tmp_path / "vols.json"
     clear_caches()
@@ -312,8 +325,8 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code == 0
     first = path.read_bytes()
     data = json.loads(first)
-    assert data["version"] == 1
-    assert data["entries"]["2"] == {"num": "1", "den": "120", "pi_exp": 4}
+    assert data["version"] == 2
+    assert data["entries"]["2"] == cache_entry("2", "1", "120", 4)
     assert first.endswith(b"\n")
 
     clear_caches()
@@ -380,10 +393,7 @@ def test_cache_corrupt_json(tmp_path, capsys):
 
 def test_cache_bad_exponent_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "entries": {"2": {"num": "1", "den": "120", "pi_exp": 6}},
-    }))
+    write_cache(path, {"2": cache_entry("2", "1", "120", 6)})
     code, _, err = run(["volume", "2", "--cache", str(path)], capsys)
     assert code == 2
     assert "pi-exponent" in err
@@ -391,16 +401,19 @@ def test_cache_bad_exponent_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, rec", [
     # odd degree sum: formerly a bare ValueError from the pi-exponent check
-    ("1", {"num": "1", "den": "3", "pi_exp": 3}),
+    ("1", ("1", "3", 3)),
     # valid stratum, but not the canonical spelling "3,1" of its key
-    ("1,3", {"num": "16", "den": "42525", "pi_exp": 6}),
-    ("0,1,1", {"num": "1", "den": "135", "pi_exp": 4}),
-    (" 2", {"num": "1", "den": "120", "pi_exp": 4}),
-    ("2,-2", {"num": "1", "den": "120", "pi_exp": 4}),
+    ("1,3", ("16", "42525", 6)),
+    ("0,1,1", ("1", "135", 4)),
+    (" 2", ("1", "120", 4)),
+    ("2,-2", ("1", "120", 4)),
+    # int() reads these as 2 and 11
+    ("+2", ("1", "120", 4)),
+    ("1_1", ("1", "1", 13)),
 ])
 def test_cache_non_canonical_key_rejected(key, rec, tmp_path, capsys):
     path = tmp_path / "keys.json"
-    path.write_text(json.dumps({"version": 1, "entries": {key: rec}}))
+    write_cache(path, {key: cache_entry(key, *rec)})
     before = path.read_bytes()
     clear_caches()
     with pytest.raises(cli.CacheError):
@@ -418,6 +431,107 @@ def test_cache_bad_version_rejected(tmp_path, capsys):
     path.write_text(json.dumps({"version": 99, "entries": {}}))
     code, _, err = run(["volume", "2", "--cache", str(path)], capsys)
     assert code == 2
+
+
+def test_cache_version_one_rejected(tmp_path, capsys):
+    # a file as format 1 wrote it, without checksums: rejected, not rewritten
+    path = tmp_path / "v1.json"
+    write_cache(path, {"2": {"num": "1", "den": "120", "pi_exp": 4}}, version=1)
+    before = path.read_bytes()
+    clear_caches()
+    code, out, err = run(["volume", "2", "--cache", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "unsupported version 1" in err and "delete it" in err
+    assert path.read_bytes() == before
+
+
+VALID_2 = cache_entry("2", "1", "120", 4)
+
+
+MALFORMED, BAD_CRC = "malformed cache entry", "fails its checksum"
+
+
+def entries(rec):
+    return {"version": 2, "entries": {"2": rec}}
+
+
+# Each payload breaks one rule of the layout save_cache writes; where a
+# record carries a checksum, it is the right one for the record's fields.
+@pytest.mark.parametrize("payload, reason", [
+    pytest.param([], "not a JSON object", id="top-level-array"),
+    pytest.param({"version": 2, "entries": []}, "no entries object", id="entries-array"),
+    pytest.param({"version": 2}, "no entries object", id="entries-missing"),
+    pytest.param(entries(["1", "120", 4]), MALFORMED, id="record-array"),
+    pytest.param(entries("1/120"), MALFORMED, id="record-string"),
+    pytest.param(entries(cache_entry("2", 1.5, "120", 4)), MALFORMED, id="num-float"),
+    pytest.param(entries(cache_entry("2", 1, "120", 4)), MALFORMED, id="num-int"),
+    pytest.param(entries(cache_entry("2", "-1", "120", 4)), MALFORMED, id="num-negative"),
+    pytest.param(entries(cache_entry("2", "0", "120", 4)), MALFORMED, id="num-zero"),
+    pytest.param(entries(cache_entry("2", "1", "0", 4)), MALFORMED, id="den-zero"),
+    # Arabic-Indic digits, which int() reads as 1 and 120
+    pytest.param(entries(cache_entry("2", "\u0661", "\u0661\u0662\u0660", 4)), MALFORMED,
+                 id="num-den-non-ascii-digits"),
+    pytest.param(entries(cache_entry("2", "1", "120", 4.9)), MALFORMED, id="pi-exp-float"),
+    pytest.param(entries(cache_entry("2", "1", "120", "4")), MALFORMED, id="pi-exp-string"),
+    pytest.param(entries(cache_entry("2", "1", "120", True)), MALFORMED, id="pi-exp-bool"),
+    pytest.param(entries({k: v for k, v in VALID_2.items() if k != "crc32"}), BAD_CRC,
+                 id="checksum-missing"),
+    pytest.param(entries(dict(VALID_2, crc32=VALID_2["crc32"] ^ 1)), BAD_CRC, id="checksum-wrong"),
+    pytest.param(entries(dict(VALID_2, crc32=str(VALID_2["crc32"]))), BAD_CRC,
+                 id="checksum-string"),
+    # a hand edit that keeps the grading: H(2) = 1/7 * pi^4 under the old checksum
+    pytest.param(entries(dict(VALID_2, den="7")), BAD_CRC, id="value-edited"),
+])
+def test_cache_malformed_layout_rejected(payload, reason, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    before = path.read_bytes()
+    clear_caches()
+    with pytest.raises(cli.CacheError, match=reason):
+        cli.load_cache(str(path))
+    clear_caches()
+    code, out, err = run(["volume", "2", "--cache", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and reason in err
+    assert path.read_bytes() == before
+
+
+def stratum_key_oracle(key):
+    """The key check load_cache made before it validated keys itself."""
+    try:
+        degrees = tuple(int(t) for t in key.split(",")) if key else ()
+        return Stratum(degrees).key == key
+    except ValueError:  # InvalidStratumError is a ValueError
+        return False
+
+
+def candidate_keys():
+    keys = {"01", "+2", "2,", ",2", "1_1", " 2", "2,-2", "1,3", "0,1,1", "", ",", "2,,2",
+            "-0", "0", "2 ", "\u0662", "1,1,", "4,2,2", "3,1,0"}
+    for n in range(9):
+        for m in partitions_of_size(n):
+            canonical = ",".join(map(str, m))
+            keys.add(canonical)
+            keys.update(" " + canonical, canonical + ",", "0" + canonical, "+" + canonical,
+                        canonical + ",0", canonical.replace(",", ", "))
+            if len(m) <= 4:
+                keys.update(",".join(map(str, p)) for p in itertools.permutations(m))
+    return sorted(keys)
+
+
+def test_key_check_matches_stratum_key_oracle():
+    accepted = 0
+    for key in candidate_keys():
+        try:
+            degrees = cli._key_degrees(key)
+        except ValueError:
+            degrees = None
+        assert (degrees is not None) == stratum_key_oracle(key), key
+        if degrees is not None:
+            assert degrees == Stratum(degrees).degrees
+            accepted += 1
+    # the canonical keys with even total degree <= 8, the torus "" among them
+    assert accepted == sum(len(partitions_of_size(n)) for n in range(0, 9, 2))
 
 
 def test_env_var_overrides_cache_flag(tmp_path, capsys, monkeypatch):

@@ -75,6 +75,39 @@ def test_from_graded_zero_ignores_exponent_parity():
         PiValue.from_graded(Fraction(1, 2), 3)
 
 
+EXACT_QS = [3, -5, Fraction(2, 7), Fraction(-9, 4), 0, Fraction(0)]
+
+
+@pytest.mark.parametrize("q", EXACT_QS + [1.5, -2.0, 0.0])
+@pytest.mark.parametrize("e", [-2, 0, 4, 3, -1, 2.0, "4", None])
+def test_from_graded_matches_generic_constructor(q, e):
+    def outcome(build):
+        try:
+            return build()
+        except (TypeError, ValueError) as exc:
+            return type(exc)
+
+    generic = outcome(lambda: PiValue([(e, q)]))
+    direct = outcome(lambda: PiValue.from_graded(q, e))
+    if isinstance(q, float):
+        # both refuse a float; from_graded looks at q before the exponent
+        assert direct is TypeError
+        assert generic in (TypeError, ValueError)
+    elif q == 0:
+        # a zero q gives zero whatever its exponent; the generic
+        # constructor still refuses a bad one
+        assert direct == PiValue() and direct.terms == {}
+        assert generic in (PiValue(), ValueError)
+    elif isinstance(generic, type):
+        assert direct is generic
+    else:
+        assert direct == generic
+        assert hash(direct) == hash(generic)
+        assert str(direct) == str(generic)
+        assert direct.terms == generic.terms
+        assert all(type(c) is Fraction for c in direct.terms.values())
+
+
 def test_pivalue_drops_zero_coefficients():
     v = PiValue([(2, Fraction(1, 3)), (2, Fraction(-1, 3)), (4, 1)])
     assert v.terms == {4: Fraction(1)}
