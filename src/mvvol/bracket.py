@@ -1,57 +1,74 @@
 r"""One-point correlator of a multiset of cycle lengths.
 
-For a multiset m = (m_1, ..., m_n) of positive integers,
+For a multiset m = (m_1, ..., m_n) of positive integers, with |m| = sum(m_i),
 
     single_bracket(m) = |m|! * frak_z(|m| - n + 2) + error_term(m),
 
-where |m| = sum(m_i) and the correction sums over the reduced set partitions
-alpha of the index set {1..n} with at least two blocks:
-
-    error_term(m) = sum_alpha (-1)^(len(alpha)-1) * (len(alpha)-2)!
+    error_term(m) = sum_alpha (-1)^(l-1) * (l-2)!
         * sum_d prod_i (1/d_i!) * s_i! * frak_z(s_i - c_i - d_i + 1),
 
-with s_i the sum of the m-entries in block i, c_i the block size, and d
-running over the nonnegative length-len(alpha) compositions of
-len(alpha) - 2.  Every surviving term has pi-exponent |m| - n + 2, so the
-result is a monomial (or zero when |m| - n is odd).
+where alpha runs over the set partitions of the positions {1..n} into
+l >= 2 blocks, s_i is the sum of the m-entries in block i, c_i its size,
+and d runs over the nonnegative compositions of l - 2 into l parts.  Every
+surviving term has pi-exponent |m| - n + 2, so the result is a monomial (or
+zero when |m| - n is odd).
 
-A summand depends on alpha only through the multiset of block stats
-(s_i, c_i), and permuting equal entries of m permutes the set partitions
-without changing it.  So error_term sums over the partitions of the
-multiset m instead, each once, weighted by the number of set partitions it
-stands for (combinatorics.multiset_partitions); partitions with the same
-sorted stats are merged before any arithmetic.  For m = (v,)*n, which the
-principal stratum H(1^n) needs with v = 2, the Bell(n) set partitions fall
-into p(n) orbits.
+By Cayley's formula, (l-2)! / prod_i d_i! with sum_i d_i = l - 2 counts the
+labelled trees on the l blocks in which block i has degree d_i + 1.  With
 
-For fixed stats the d-sum is the coefficient of x^(len(alpha)-2) in
-prod_i sum_d s_i!/d! * frak_z(s_i - c_i - d + 1) * x^d, taken as a
-truncated polynomial product.  frak_z(k) is nonzero exactly for even
-k >= 0, which fixes the parity and range of each d; when the blocks'
-smallest admissible d already exceed len(alpha) - 2 the term is zero
-before any product is formed.
+    psi(beta, delta) = -s! * z(s - c - delta + 2)
 
-Because the pi exponent is fixed by the grading, the sums run on bare
-Fractions (the rational coefficients of frak_z) and pi is attached once per
-public call.  coefficient() is the rational hot-path entry used by the Wick
-expansion; its memo holds the coefficient of every multiset seen so far,
-keyed on the sorted multiset, and a miss calls error_term once unless the
-exponent is odd, where the coefficient is 0.
+for a block beta of sum s and size c, where z is the rational coefficient
+of frak_z, the whole bracket is minus one sum over the set partitions of the
+positions together with a tree on their blocks, each block weighted by psi
+at its tree degree.  The one-block partition is the one-vertex tree and
+gives the leading term; the sign (-1)^(l-1) is -1 times the l signs of psi.
+
+Such sums have exponential generating functions.  Take one variable per
+distinct value of m, so a block is a count vector beta and m is the vector
+M of multiplicities.  Trees planted on an edge above their root satisfy
+
+    R = sum_{beta != 0} x^beta/beta! * sum_j psi(beta, j+1) R^j/j!;
+
+trees rooted at a vertex give V, the same sum with psi(beta, j), and trees
+rooted at an edge give R^2/2.  A tree has one more vertex than it has
+edges, so the unrooted trees sum to V - R^2/2 and
+
+    coefficient(m) = -M! * [x^M] (V - R^2/2),
+
+with M! the product of the factorials of M.  The series are truncated at M
+and filled over the lattice of count vectors below it, each vector after
+every vector below it: R^j at a vector needs R only at smaller ones.  A
+planted tree over a vector of sum S and size C survives only when S - C is
+odd, so R^j there survives only when j = S - C mod 2, and the sums step
+over the other half.
+
+The pi exponent is fixed by the grading, so the series run on bare
+Fractions and pi is attached once per public call.  coefficient() is the
+rational hot-path entry used by the Wick and volume layers; its memo holds
+the coefficient of every multiset seen so far, keyed on the sorted multiset,
+and a miss sums the series once unless the exponent is odd, where the
+coefficient is 0.  A block's weights psi(beta, .)/(j! beta!) depend on beta
+only through (s, c, beta!) and are memoized on it across calls.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import groupby, product
+from operator import mul
+from typing import Iterable
 
-from .combinatorics import multiset_partitions
 from .exact_arith import PiValue, frak_z
 
 __all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
 
 # sorted multiset -> rational coefficient of pi^(|m| - n + 2)
 _CACHE: dict[tuple[int, ...], Fraction] = {}
+# (s, c, beta!) -> block weights by number of children j: planted
+# psi(j+1)/(j! beta!) and rooted psi(j)/(j! beta!)
+_WEIGHTS: dict[tuple[int, int, int], tuple[list, list]] = {}
 
 
 def _canonical(m: Iterable[int]) -> tuple[int, ...]:
@@ -68,102 +85,101 @@ def _z(k: int) -> Fraction:
     return frak_z(k).coefficient(k)
 
 
-def _block_factors(s: int, c: int) -> list[tuple[int, Fraction]]:
-    """(d, s!/d! * z(s - c - d + 1)) for every d >= 0 where z is nonzero.
+def _weights(s: int, c: int, fact: int, n: int) -> tuple[list, list]:
+    """Weights of a block with j children in a tree, divided by beta!.
 
-    z(k) is nonzero exactly for even k >= 0, so d has the parity of
-    s - c + 1 and runs up to it; the smallest d is 0 or 1.
+    The block has sum s, size c and beta! = fact.  Planted (one more edge,
+    to the parent): psi(j + 1)/(j! beta!); rooted: psi(j)/(j! beta!), with
+    psi(d) = -s! * z(s - c - d + 2).  In a multiset of n parts a block has
+    at most n - c children, and z vanishes at odd or negative arguments, so
+    the lists stop there and hold int 0 at the wrong parity.  The memo is
+    rebuilt longer when a larger multiset needs more.
     """
-    top = s - c + 1
-    fs = math.factorial(s)
-    return [(d, Fraction(fs, math.factorial(d)) * _z(top - d)) for d in range(top % 2, top + 1, 2)]
+    w = _WEIGHTS.get((s, c, fact))
+    top = s - c + 2
+    if w is None or len(w[1]) <= min(n - c, top):
+        psi = [Fraction(-math.factorial(s), fact) * _z(top - d) if (top - d) % 2 == 0 else 0
+               for d in range(min(n - c, top) + 1)]
+        w = _WEIGHTS[(s, c, fact)] = (
+            [q and q / math.factorial(j - 1) for j, q in enumerate(psi[1:], 1)],
+            [q and q / math.factorial(j) for j, q in enumerate(psi)],
+        )
+    return w
 
 
-def _block_term_sum(
-    stats: Sequence[tuple[int, int]],
-    total: int,
-    factors: dict[tuple[int, int], list[tuple[int, Fraction]]],
-) -> Fraction:
-    """Sum over admissible d of prod_i s_i!/d_i! * z(s_i - c_i - d_i + 1).
+def _tree_sum(mm: tuple[int, ...]) -> Fraction:
+    """-M! [x^M] (V - R^2/2) for the canonical multiset mm: its coefficient.
 
-    stats holds (s_i, c_i) per block; total = len(alpha) - 2; z is the
-    rational coefficient of frak_z.  The sum is the coefficient of x^total
-    in prod_i sum_d s_i!/d! * z(s_i - c_i - d + 1) * x^d, taken as a product
-    truncated at degree total.  It is empty when the blocks' smallest
-    admissible d already exceed total.  factors memoizes _block_factors by
-    (s, c) and may be shared across calls.
+    Vectors below M are numbered in mixed radix (last value fastest), so
+    the vector a - b sits at position i - g when a sits at i and b at g.
     """
-    low = sum((s - c + 1) % 2 for s, c in stats)
-    if low > total:
-        return Fraction(0)
-    high = sum(min(s - c + 1, total) for s, c in stats)
-    acc = {0: Fraction(1)}
-    for s, c in stats:
-        top = s - c + 1
-        low -= top % 2
-        high -= min(top, total)
-        # a partial degree the remaining blocks cannot carry to total is dropped
-        lo, hi = total - high, total - low
-        opts = factors.get((s, c))
-        if opts is None:
-            opts = factors[(s, c)] = _block_factors(s, c)
-        nxt: dict[int, Fraction] = {}
-        for a, qa in acc.items():
-            for d, q in opts:
-                if a + d > hi:
-                    break
-                if a + d >= lo:
-                    nxt[a + d] = nxt.get(a + d, 0) + qa * q
-        acc = nxt
-    return acc.get(total, Fraction(0))
+    values, mult = [], []
+    for v, run in groupby(mm):
+        values.append(v)
+        mult.append(len(list(run)))
+    strides = [math.prod(k + 1 for k in mult[v + 1:]) for v in range(len(mult))]
+    top = math.prod(k + 1 for k in mult) - 1
+    planted_r = [0] * (top + 1)      # R at each vector
+    powers: list = [[1]]             # R^j at each vector below M, j = 0..|a|
+    parity = [0] * (top + 1)         # S - C mod 2, which fixes the surviving j
+    planted_w: list = [None]         # each vector's weights as a block, planted
+    rooted_w: list = [None]          # and rooted, by its number of children
+    vectors = product(*(range(k + 1) for k in mult))
+    next(vectors)                    # the zero vector, where R = 0 and R^0 = 1
+    for i, a in enumerate(vectors, 1):
+        size = sum(a)
+        s = sum(map(mul, a, values))
+        parity[i] = odd = (s - size) & 1
+        planted, rooted = _weights(s, size, math.prod(map(math.factorial, a)), len(mm))
+        planted_w.append(planted)
+        rooted_w.append(rooted)
+        # positions of the vectors below a, from 0 up to i itself
+        below = [0]
+        for x, st in zip(a, strides):
+            if x:
+                below = [g + t * st for g in below for t in range(x + 1)]
+        last = i == top
+        w_of = rooted_w if last else planted_w
+        pw = [0] * (3 if last else size + 1)
+        acc = w_of[i][0]             # R (or V at M): the block a alone
+        for g in below[1:-1]:
+            h = i - g
+            ph, ph_odd = powers[h], parity[h]
+            # R^j at a: R at b = g times R^(j-1) at a - b
+            r = planted_r[g]
+            if r:
+                for j in range(2 - ph_odd, min(len(ph), len(pw) - 1), 2):
+                    pw[j + 1] += r * ph[j]
+            # R (or V at M): block b = g above the trees at a - b
+            if odd or last:
+                w = w_of[g]
+                for j in range(ph_odd, min(len(w), len(ph)), 2):
+                    acc += w[j] * ph[j]
+        if not last:
+            pw[1] = planted_r[i] = acc
+            powers.append(pw)
+    # the loop ends at M, with V there in acc and R^2 in pw[2]
+    return -math.prod(math.factorial(k) for k in mult) * (acc - Fraction(pw[2], 2))
 
 
 def error_term(m: Iterable[int]) -> PiValue:
     """Correction to the leading frak_z term of single_bracket(m)."""
     mm = _canonical(m)
-    values = sorted(set(mm), reverse=True)
-    mult = [mm.count(v) for v in values]
-    # each multiset partition of mm stands for `orbit` set partitions of its
-    # positions, all with the same block stats; sum orbits per sorted stats
-    orbits: dict[tuple[tuple[int, int], ...], int] = {}
-    block_stats: dict[tuple[int, ...], tuple[int, int]] = {}
-    for orbit, blocks in multiset_partitions(mult):
-        if len(blocks) < 2:
-            continue
-        stats = []
-        for b in blocks:
-            st = block_stats.get(b)
-            if st is None:
-                st = block_stats[b] = (sum(x * v for x, v in zip(b, values)), sum(b))
-            stats.append(st)
-        key = tuple(sorted(stats))
-        orbits[key] = orbits.get(key, 0) + orbit
-    total = Fraction(0)
-    factors: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for stats, orbit in orbits.items():
-        ell = len(stats)
-        inner = _block_term_sum(stats, ell - 2, factors)
-        if inner:
-            sign = -1 if ell % 2 == 0 else 1
-            total += inner * (sign * orbit * math.factorial(ell - 2))
-    return PiValue.from_graded(total, sum(mm) - len(mm) + 2)
+    exponent = sum(mm) - len(mm) + 2
+    lead = math.factorial(sum(mm)) * _z(exponent)
+    return PiValue.from_graded(coefficient(mm) - lead, exponent)
 
 
 def coefficient(mm: tuple[int, ...]) -> Fraction:
     """Rational coefficient of single_bracket(mm) at pi^(|mm| - len(mm) + 2).
 
     mm must already be canonical: a nonempty tuple of positive ints sorted
-    in decreasing order.  Memoized; a miss at an even exponent calls
-    error_term once, and at an odd one the coefficient is 0 by the grading.
+    in decreasing order.  Memoized; a miss at an even exponent sums the
+    tree series once, and at an odd one the coefficient is 0 by the grading.
     """
     q = _CACHE.get(mm)
     if q is None:
-        exponent = sum(mm) - len(mm) + 2
-        if exponent % 2:
-            q = Fraction(0)
-        else:
-            q = math.factorial(sum(mm)) * _z(exponent) + error_term(mm).coefficient(exponent)
-        _CACHE[mm] = q
+        q = _CACHE[mm] = Fraction(0) if (sum(mm) - len(mm)) % 2 else _tree_sum(mm)
     return q
 
 
@@ -175,3 +191,4 @@ def single_bracket(m: Iterable[int]) -> PiValue:
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _WEIGHTS.clear()

@@ -101,7 +101,8 @@ def load_cache(path: str) -> set[tuple[int, ...]]:
     """Populate the volume memo from a cache file written by save_cache.
 
     Returns the keys the file holds (none if it does not exist yet).
-    Anything save_cache would not have written raises CacheError.
+    Anything save_cache would not have written raises CacheError, and then
+    the memo is left as it was: entries are published only once all pass.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -118,8 +119,7 @@ def load_cache(path: str) -> set[tuple[int, ...]]:
     entries = data.get("entries")
     if not isinstance(entries, dict):
         raise CacheError(f"cache {path} has no entries object")
-    memo = volumes.volume_cache()
-    loaded = set()
+    loaded: dict[tuple[int, ...], PiValue] = {}
     for key, rec in entries.items():
         try:
             degrees = _key_degrees(key)
@@ -145,9 +145,9 @@ def load_cache(path: str) -> set[tuple[int, ...]]:
             raise CacheError(
                 f"cache entry {key!r} claims pi-exponent {exp}, expected {sum(degrees) + 2}"
             )
-        memo[degrees] = PiValue.from_graded(Fraction(num, den), exp)
-        loaded.add(degrees)
-    return loaded
+        loaded[degrees] = PiValue.from_graded(Fraction(num, den), exp)
+    volumes.volume_cache().update(loaded)
+    return set(loaded)
 
 
 def save_cache(path: str) -> None:

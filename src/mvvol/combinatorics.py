@@ -1,15 +1,13 @@
-r"""Partitions, compositions, set and multiset partitions, complementary pairs.
+r"""Partitions, compositions, set partitions, complementary pairs.
 
-The volume pipeline consumes four combinatorial families:
+The volume pipeline consumes three combinatorial families:
 
 * integer partitions, graded either by size |lam| or by weight
   wt(lam) = |lam| + len(lam);
 * compositions (ordered tuples) of an integer with nonnegative entries;
 * reduced set partitions of {1..N}, and for a fixed set partition rho the
   "complementary" ones: alpha with len(alpha) + len(rho) = N + 1 whose
-  common refinement-join with rho is the one-block partition;
-* partitions of a multiset, each standing for the orbit of set partitions
-  that permuting equal elements carries into one another.
+  common refinement-join with rho is the one-block partition.
 
 The Wick sum is defined over complementary partitions but computed by a
 recursion over their block-incidence trees (see wick); the enumeration
@@ -26,7 +24,6 @@ All enumerators are lazy generators except the small partition lists.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -36,7 +33,6 @@ __all__ = [
     "nonneg_compositions",
     "SetPartition",
     "set_partitions",
-    "multiset_partitions",
     "complementary_partitions",
 ]
 
@@ -210,81 +206,6 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
         blocks.pop()
 
     yield from rec(1)
-
-
-def multiset_partitions(
-    multiplicities: Sequence[int],
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Each partition of a multiset into nonempty blocks, once, with its orbit.
-
-    The multiset holds multiplicities[v] copies of value v, v = 0..k-1, and a
-    block is a count vector b holding b[v] copies of v.  Yields (orbit,
-    blocks): blocks are listed in non-increasing lex order, and orbit is the
-    number of set partitions of {1..n} that the multiset partition stands
-    for when the n = sum(multiplicities) elements are labelled by values,
-
-        prod_v M_v! / (prod_blocks prod_v b[v]! * prod_B r_B!),
-
-    with M_v = multiplicities[v] and r_B the number of times block B
-    repeats.  Each next block holds the first value not yet placed and is
-    at most the previous block in lex order, so every branch ends in a
-    partition.  With all multiplicities 1 these are the set partitions,
-    each with orbit 1.
-    """
-    mult = tuple(int(x) for x in multiplicities)
-    if any(x < 0 for x in mult):
-        raise ValueError(f"multiplicities must be nonnegative: {mult}")
-    k = len(mult)
-    top = 1
-    for x in mult:
-        top *= math.factorial(x)
-    rem = list(mult)
-    blocks: list[tuple[int, ...]] = []
-
-    def candidates(block: list[int], i: int, first: int, prev) -> Iterator[tuple[int, ...]]:
-        # block[:i] is fixed; prev is the previous block while block[:i]
-        # still equals its prefix, else None
-        if i == k:
-            yield tuple(block)
-            return
-        hi = rem[i] if prev is None else min(rem[i], prev[i])
-        # the block holds the first value not yet placed
-        for x in range(hi, 0 if i == first else -1, -1):
-            block[i] = x
-            yield from candidates(block, i + 1, first,
-                                  prev if prev is not None and x == prev[i] else None)
-
-    def rec(first: int, denom: int, run: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-        prev = blocks[-1] if blocks else None
-        # a block that starts later than prev is below it in lex order
-        if prev is not None and any(prev[:first]):
-            prev = None
-        for b in candidates([0] * k, first, first, prev):
-            repeat = run + 1 if prev is not None and b == prev else 1
-            d = denom * repeat
-            for i in range(first, k):
-                if b[i]:
-                    rem[i] -= b[i]
-                    d *= math.factorial(b[i])
-            blocks.append(b)
-            nxt = first
-            while nxt < k and not rem[nxt]:
-                nxt += 1
-            if nxt == k:
-                yield top // d, tuple(blocks)
-            else:
-                yield from rec(nxt, d, repeat)
-            blocks.pop()
-            for i in range(first, k):
-                rem[i] += b[i]
-
-    start = 0
-    while start < k and not mult[start]:
-        start += 1
-    if start == k:
-        yield 1, ()
-        return
-    yield from rec(start, 1, 0)
 
 
 def complementary_partitions(rho: Iterable[Sequence[int]]) -> Iterator[SetPartition]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mvvol import bracket
-from mvvol.bracket import _block_term_sum, _z, clear_cache, error_term, single_bracket
+from mvvol.bracket import _z, clear_cache, error_term, single_bracket
 from mvvol.combinatorics import nonneg_compositions, partitions_of_size, set_partitions
 from mvvol.exact_arith import PiValue, frak_z
 
@@ -130,24 +130,15 @@ def test_error_term_matches_set_partition_oracle():
     for count, sizes in ((280, (2, 7)), (295, (8, 8)), (300, (9, 9))):
         while len(cases) < count:
             cases.add(random_multiset_with_repeats(rng, rng.randint(*sizes)))
+    # then 20 with all values distinct, the largest series lattice (2^n
+    # count vectors) for their size
+    rng = random.Random(1729)
+    while len(cases) < 320:
+        n = rng.randint(4, 7)
+        cases.add(tuple(sorted(rng.sample(range(1, 10), n), reverse=True)))
     for m in sorted(cases):
         want = PiValue.from_graded(set_partition_error_term(m), sum(m) - len(m) + 2)
         assert error_term(m) == want, m
-
-
-def test_block_term_sum_matches_recursion():
-    rng = random.Random(6174)
-    factors = {}
-    for _ in range(500):
-        stats = []
-        for _ in range(rng.randint(1, 8)):
-            c = rng.randint(1, 4)
-            stats.append((c + rng.randint(0, 12), c))
-        total = rng.randint(0, len(stats) + 2)
-        want = recursion_block_term_sum(stats, total)
-        assert _block_term_sum(stats, total, {}) == want, (stats, total)
-        # a factor memo shared across calls gives the same sums
-        assert _block_term_sum(stats, total, factors) == want, (stats, total)
 
 
 def test_homogeneity_and_parity():
@@ -165,14 +156,17 @@ def test_homogeneity_and_parity():
 def test_symmetry_under_reordering(monkeypatch):
     assert single_bracket((2, 3, 1, 3)) == single_bracket((3, 3, 2, 1))
     assert error_term((4, 1, 1)) == error_term((1, 4, 1))
-    # both orders share one memo entry: the second never reaches error_term
+    # both orders share one memo entry: the second never sums the series
+    clear_cache()
     a = single_bracket((3, 1, 1))
+    assert not a.is_zero()
 
     def refuse(m):
-        raise AssertionError(f"error_term recomputed for {m}")
+        raise AssertionError(f"tree series recomputed for {m}")
 
-    monkeypatch.setattr(bracket, "error_term", refuse)
+    monkeypatch.setattr(bracket, "_tree_sum", refuse)
     assert single_bracket((1, 3, 1)) == a
+    assert error_term((1, 1, 3)) == error_term((3, 1, 1))
 
 
 def test_cache_clears():

@@ -10,7 +10,7 @@ import mvvol.cli as cli
 from mvvol import siegel_veech
 from mvvol.cli import main, parse_stratum
 from mvvol.combinatorics import partitions_of_size
-from mvvol.volumes import InvalidStratumError, Stratum, clear_caches
+from mvvol.volumes import InvalidStratumError, Stratum, clear_caches, volume, volume_cache
 
 
 def run(argv, capsys):
@@ -397,6 +397,20 @@ def test_cache_bad_exponent_rejected(tmp_path, capsys):
     code, _, err = run(["volume", "2", "--cache", str(path)], capsys)
     assert code == 2
     assert "pi-exponent" in err
+
+
+def test_cache_rejected_late_leaves_memo_unchanged(tmp_path):
+    # a valid "1,1" before a mis-graded "2": the file is refused as a whole
+    path = tmp_path / "late.json"
+    write_cache(path, {"1,1": cache_entry("1,1", "1", "135", 4),
+                       "2": cache_entry("2", "1", "120", 6)})
+    clear_caches()
+    volume(Stratum([4]))
+    before = dict(volume_cache())
+    with pytest.raises(cli.CacheError, match="pi-exponent"):
+        cli.load_cache(str(path))
+    assert volume_cache() == before
+    assert (1, 1) not in volume_cache()
 
 
 @pytest.mark.parametrize("key, rec", [

@@ -8,7 +8,6 @@ from mvvol.combinatorics import (
     Partition,
     SetPartition,
     complementary_partitions,
-    multiset_partitions,
     nonneg_compositions,
     partitions_of_size,
     partitions_of_weight,
@@ -180,84 +179,6 @@ def test_set_partitions_canonical_order_of_blocks():
         assert mins == sorted(mins)
         for b in p:
             assert list(b) == sorted(b)
-
-
-# -- multiset partitions --------------------------------------------------------
-
-
-def stirling2(n, k):
-    # S(n, k) by the recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1)
-    row = [1] + [0] * k
-    for _ in range(n):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
-    return row[k]
-
-
-def set_partition_orbits(mult):
-    # label positions with their values, then tally every set partition by
-    # the sorted tuple of its blocks' count vectors
-    labels = [v for v, m in enumerate(mult) for _ in range(m)]
-    tally = {}
-    for alpha in set_partitions(len(labels)):
-        vectors = []
-        for b in alpha:
-            vec = [0] * len(mult)
-            for x in b:
-                vec[labels[x - 1]] += 1
-            vectors.append(tuple(vec))
-        key = tuple(sorted(vectors, reverse=True))
-        tally[key] = tally.get(key, 0) + 1
-    return tally
-
-
-def random_multiplicities(rng, max_n):
-    # at least one repeated value, zeros allowed in between
-    while True:
-        mult = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 5)))
-        if 0 < sum(mult) <= max_n and max(mult) >= 2:
-            return mult
-
-
-def test_multiset_partitions_count_set_partition_orbits():
-    rng = random.Random(2718)
-    cases = [(1,), (2,), (3, 2), (1, 1, 1), (0, 2, 0, 1), (2, 2, 2)]
-    cases += [random_multiplicities(rng, 7) for _ in range(60)]
-    for mult in cases:
-        got = {}
-        for orbit, blocks in multiset_partitions(mult):
-            assert blocks not in got, (mult, blocks)
-            assert list(blocks) == sorted(blocks, reverse=True), blocks
-            assert all(len(b) == len(mult) and any(b) for b in blocks)
-            got[blocks] = orbit
-        assert got == set_partition_orbits(mult), mult
-
-
-def test_multiset_partition_orbits_sum_to_bell_and_stirling():
-    rng = random.Random(1618)
-    for _ in range(40):
-        mult = random_multiplicities(rng, 10)
-        n = sum(mult)
-        by_length = {}
-        for orbit, blocks in multiset_partitions(mult):
-            by_length[len(blocks)] = by_length.get(len(blocks), 0) + orbit
-        assert by_length == {ell: stirling2(n, ell) for ell in range(1, n + 1)}, mult
-        assert sum(by_length.values()) == sum(1 for _ in set_partitions(n))
-
-
-def test_multiset_partitions_extremes():
-    # distinct values: the set partitions, one orbit each
-    for n in range(1, 7):
-        got = list(multiset_partitions((1,) * n))
-        assert len(got) == sum(1 for _ in set_partitions(n))
-        assert {orbit for orbit, _ in got} == {1}
-    # one repeated value: the integer partitions of n
-    for n in range(1, 9):
-        parts = sorted(tuple(b[0] for b in blocks) for _, blocks in multiset_partitions((n,)))
-        assert parts == sorted(tuple(lam) for lam in partitions_of_size(n))
-    assert list(multiset_partitions(())) == [(1, ())]
-    assert list(multiset_partitions((0, 0))) == [(1, ())]
-    with pytest.raises(ValueError):
-        list(multiset_partitions((2, -1)))
 
 
 # -- complementary partitions ---------------------------------------------------
