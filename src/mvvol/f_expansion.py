@@ -1,6 +1,6 @@
 r"""Degree-k insertion polynomials in the power-sum basis.
 
-capital_f(k) expands the weight-(k+1) generator used by the volume pipeline
+capital_f(k) expands the weight-(k+1) generator that defines the volumes
 as an exact linear combination of power sums p_lam:
 
     capital_f(k) = sum over partitions lam of weight k + 1 of
@@ -9,6 +9,10 @@ as an exact linear combination of power sums p_lam:
 where M_i(lam) is the multiplicity of i in lam.  For k = 1 the only
 weight-2 partition is (1), giving capital_f(1) = p_(1); this degenerate
 degree is what a stratum's marked-point-free torus normalization rests on.
+
+capital_f is a reference implementation off the volume path: the weights
+are exponential, so volumes.c_value sums all supports at once as
+coefficients of exp(-k E) (volumes docstring).
 """
 
 from __future__ import annotations

@@ -6,41 +6,37 @@ The normalized volume of the unit-area hypersurface is
 
     volume(H(m)) = 2 * c_value(m_1 + 1, ..., m_n + 1),
 
-    c_value(a) = 1 / (|a|! * prod a_i) * multi_bracket expansion of the
-                 degree-a_i generators capital_f(a_1), ..., capital_f(a_n),
+a single positive rational multiple of pi^(2g) with g = (sum m_i + 2) / 2.
+By definition c_value(a) * |a|! * prod a_i is the Wick sum over the
+power-sum supports of capital_f(a_1), ..., capital_f(a_n); wick and
+f_expansion keep that definition as a reference, and c_value sums it as
+one series.
 
-expanded multilinearly over the power-sum supports with identical partition
-tuples grouped before Wick evaluation.  The result is always a single
-positive rational multiple of pi^(2g) with g = (sum m_i + 2) / 2.
+Write b(.) = bracket.coefficient.  The block-incidence graph of every Wick
+complement is a tree (wick docstring): blocks of one part give factors
+b(v), and the blocks joining parts of several zeros form a hypertree on
+the zeros.  Support weights (-k)^(len - 1) / prod M_i! are exponential, so
+the parts standing alone sum to exp(-k B(y)), B(y) = sum_v b(v) y^(v+1),
+and each part in a joining block adds a factor -k.  Root the hypertree at
+a zero of the largest degree k_0; let k_0 > k_1 > ... be the distinct
+degrees, M their multiplicities, e_0 the unit vector of k_0, and x_d one
+variable per distinct degree.  Then
 
-A single degree k (the minimal stratum H(k - 1), and the torus at k = 1)
-needs no Wick call.  Each support lam of capital_f(k) is one argument, whose
-only complement puts every slot in its own block, so its Wick value is
-prod_i b(lam_i) with b(v) = bracket.coefficient((v,)).  The support weight
-(-k)^(len(lam) - 1) / prod_i M_i(lam)! is exponential, so by the
-exponential formula the support sum is
+    c_value(a) * |a|! * prod a_i
+        = M!/M_0 [x^(M - e_0)] [y^(k_0+1)] exp(-k_0 E) / (-k_0),
+    E(x, y) = sum_w y^(w+1) sum_q b((w,) + q) prod_u S_u^(q_u) / q_u!,
+    S_u = sum_d x_d [y^(k_d - u)] exp(-k_d E),
 
-    [x^(k+1)] exp(-k B(x)) / (-k),    B(x) = sum_{v=1..k} b(v) x^(v+1),
+with q over the multisets of parts, the empty one included: a part w of a
+zero shares its block with the parts q that its children hand up.
 
-a power series taken in O(k^2) Fraction operations.  Write
-L_k(n) = [x^n] exp(-k B(x)).
-
-Two degrees (k1, k2) need no Wick call either.  A complement of the pair
-(lam, mu) has exactly one core block, joining one part u of lam and one
-part v of mu (some block must join the two arguments, and two such
-blocks would close a cycle in the block-incidence tree), and every other
-slot is a block of its own.  So
-the Wick value of (lam, mu) is the sum over the marked pair (u, v) of
-b(u, v) times the b of every other part, with
-b(u, v) = bracket.coefficient((max(u, v), min(u, v))).  Marking one part
-of each support in the exponential formula turns exp(-k B) into
-(-k F) exp(-k B), F being the series of the marked part; the (-k) cancels
-the support weight's 1/(-k), and the support sum is
-
-    sum_{u=1..k1} sum_{v=1..k2} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v),
-
-again O(k1^2 + k2^2 + k1 k2) Fraction operations.  Three or more degrees
-go through wick.multi_bracket.
+One and two zeros are the first layer.  At x^0, E is B, and
+L_k(n) = [y^n] exp(-k B(y)) takes O(k^2) Fraction operations
+(_exp_series).  A single zero, the minimal stratum H(k - 1) and the torus
+at k = 1, gives [y^(k+1)] exp(-k B) / (-k); two zeros share one block and
+give sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  In a principal
+stratum L_2(1) = 0 makes every zero a leaf handing up u = 2, and the sum
+is the one bracket b(2, ..., 2).
 
 The genus-1 edge cases H() and H(0, ..., 0) are normalized through
 c_value((1,)) = pi^2/6, giving the torus volume pi^2/3.
@@ -68,17 +64,15 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import groupby, product
 from typing import Iterable, Union
 
 from . import bracket, exact_arith, f_expansion, wick
 from .combinatorics import Partition, partitions_of_size
 from .exact_arith import PiValue, frak_z
-from .f_expansion import capital_f
 
 __all__ = [
     "InvalidStratumError",
@@ -168,20 +162,12 @@ def _as_stratum(s: StratumLike) -> Stratum:
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """Exact volume of a stratum plus its large-genus comparison data.
-
-    terms_evaluated is the number of Wick summands that multi_bracket
-    evaluated for this call: the complements of the argument tuples this
-    call asked for first (wick.term_count).  It is 0 for a cached stratum
-    and for strata with one or two zeros, which are summed in closed form
-    and ask multi_bracket for nothing.
-    """
+    """Exact volume of a stratum plus its large-genus comparison data."""
 
     stratum: Stratum
     value: PiValue
     prediction: Fraction
     relative_error: Decimal
-    terms_evaluated: int
     elapsed: float
 
     @property
@@ -193,40 +179,8 @@ _C_CACHE: dict[tuple[int, ...], PiValue] = {}
 _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
 
 
-def _grouped_supports(key: tuple[int, ...]) -> dict[tuple[Partition, ...], Fraction]:
-    """Sorted partition tuple -> its coefficient in prod_i capital_f(key_i).
-
-    A run of r equal degrees k picks a multiset of r supports of
-    capital_f(k), weighted by the multinomial r! / prod(repeats!), instead
-    of r ordered choices; for H(2^n) that is n + 1 picks instead of 2^n.
-    No two choices of one pick per run give the same tuple: the picks of a
-    run are distinct multisets, and supports of distinct degrees have
-    distinct weights k + 1.
-    """
-    runs = []
-    for k, r in Counter(key).items():
-        support = sorted(capital_f(k).items())
-        picks = []
-        for idx in combinations_with_replacement(range(len(support)), r):
-            coeff = support[idx[0]][1]
-            for i in idx[1:]:
-                coeff *= support[i][1]
-            ways = math.factorial(r) // math.prod(math.factorial(idx.count(i)) for i in set(idx))
-            if ways > 1:
-                coeff *= ways
-            picks.append(([support[i][0] for i in idx], coeff))
-        runs.append(picks)
-    grouped: dict[tuple[Partition, ...], Fraction] = {}
-    for choice in product(*runs):
-        coeff = choice[0][1]
-        for _, q in choice[1:]:
-            coeff *= q
-        grouped[tuple(sorted(lam for lams, _ in choice for lam in lams))] = coeff
-    return grouped
-
-
 def _exp_series(k: int, top: int) -> list[Fraction]:
-    """Coefficients L_k(0), ..., L_k(top) of exp(-k B(x)) (module docstring).
+    """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)) (module docstring).
 
     E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
     n E_n = -k * sum_j j B_j E_(n-j).
@@ -247,43 +201,94 @@ def _exp_series(k: int, top: int) -> list[Fraction]:
     return e
 
 
-def _single_degree_sum(k: int) -> Fraction:
-    """Coefficient of pi^(k+1) in sum over supports lam of capital_f(k) of
-    its weight times multi_bracket((lam,)), as [x^(k+1)] exp(-k B(x)) / (-k)."""
-    return _exp_series(k, k + 1)[k + 1] / -k
-
-
-def _two_degree_sum(k1: int, k2: int) -> Fraction:
-    """Coefficient of pi^(k1+k2) in sum over supports (lam, mu) of
-    capital_f(k1) capital_f(k2) of their weights times
-    multi_bracket((lam, mu)), as
-    sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v) (module docstring)."""
-    l1 = _exp_series(k1, k1 - 1)
-    l2 = l1 if k2 == k1 else _exp_series(k2, k2 - 1)
-    total = Fraction(0)
-    for u in range(1, k1 + 1):
-        a = l1[k1 - u]
-        if not a:
-            continue
-        for v in range(1, k2 + 1):
-            c = l2[k2 - v]
-            if c:
-                total += bracket.coefficient((u, v) if u >= v else (v, u)) * a * c
-    return total
+def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
+    """c_value(key) * |key|! * prod key for the sorted degrees key, summed
+    over the vectors below M - e_0 (module docstring).  They are numbered in
+    mixed radix, last degree fastest, so a - b sits at i - g when a sits at
+    i and b at g.  A vector a gets S_u, then P_q = prod_u S_u^(q_u)/q_u! by
+    |q| P_q = sum_u S_u P_(q-e_u), then |a| E where it is read (y^2 ..
+    y^(k_0 - 1), and y^(k_0 + 1) on the last vector: exp(-k E) has no y^1
+    term), then exp(-k E) for the degrees with a zero left to place above
+    a, by |a| exp(-k E) = -k sum_(0 < b <= a) |b| E_b exp(-k E)_(a-b).
+    """
+    degrees, target = [], []
+    for k, run in groupby(key):
+        degrees.append(k)
+        target.append(len(list(run)))
+    weight = math.prod(map(math.factorial, target)) // target[0]
+    target[0] -= 1
+    k0 = degrees[0]
+    if not any(target):
+        return _exp_series(k0, k0 + 1)[k0 + 1] / -k0
+    strides = [math.prod(t + 1 for t in target[d + 1:]) for d in range(len(target))]
+    top = math.prod(t + 1 for t in target) - 1
+    exps: list = [[_exp_series(k, k - 1) for k in degrees]]  # exp(-k_d E), by d
+    hands: list = [None]                # S at each vector: part u -> coefficient
+    powers: list = [{(): Fraction(1)}]  # P at each vector: sorted q -> coefficient
+    slopes: list = [None]               # |a| E at each vector: (j, coefficient)
+    vectors = product(*(range(t + 1) for t in target))
+    next(vectors)
+    for i, a in enumerate(vectors, 1):
+        size = sum(a)
+        below = [0]
+        for x, st in zip(a, strides):
+            if x:
+                below = [g + t * st for g in below for t in range(x + 1)]
+        # S_u = sum_d x_d [y^(k_d - u)] exp(-k_d E)
+        hand: dict[int, Fraction] = {}
+        for d, x in enumerate(a):
+            if x:
+                k, g = degrees[d], exps[i - strides[d]][d]
+                for u in range(1, k + 1):
+                    if g[k - u]:
+                        hand[u] = hand[u] + g[k - u] if u in hand else g[k - u]
+        hands.append(hand)
+        # |q| P_q = sum_u sum_b S_u(b) P_(q - e_u)(a - b); at b = a it is S_u
+        acc = {(u,): s for u, s in hand.items()}
+        for g in below[1:-1]:
+            for u, s in hands[g].items():
+                for q, p in powers[i - g].items():
+                    q = tuple(sorted((u, *q), reverse=True))
+                    acc[q] = acc[q] + s * p if q in acc else s * p
+        power = {q: p / len(q) if len(q) > 1 else p for q, p in acc.items() if p}
+        powers.append(power)
+        # E at y^j = y^(w+1) is sum_q b((w,) + q) P_q; by grading it
+        # vanishes unless j has the parity of sum_d a_d (k_d - 1)
+        odd = sum(x * (k - 1) for x, k in zip(a, degrees)) % 2
+        slope = []
+        for j in [*range(2 + odd, k0, 2), *([k0 + 1] if i == top else [])]:
+            e = sum(b * p for q, p in power.items()
+                    if (b := bracket.coefficient(tuple(sorted((j - 1, *q), reverse=True)))))
+            if e:
+                slope.append((j, e * size))
+        slopes.append(slope)
+        row = []
+        for d, k in enumerate(degrees):
+            f = None
+            if d == 0 or a[d] < target[d]:
+                # y^0 .. y^(k-1), and only y^(k+1) at the root's last vector
+                f = [0] * (k + 2)
+                for g in below[1:]:
+                    h = exps[i - g][d]
+                    for j, e in slopes[g]:
+                        for n in [k + 1] if i == top else range(j, k):
+                            if h[n - j]:
+                                f[n] += e * h[n - j]
+                if any(f) and i < top:
+                    c = Fraction(-k, size)
+                    f = [v and v * c for v in f]
+            row.append(f)
+        exps.append(row)
+    # the last row is still to be multiplied by -k_0/|a|; -k_0 cancels
+    return Fraction(weight * exps[top][0][k0 + 1], size)
 
 
 def c_value(m: Iterable[int]) -> PiValue:
     """Normalized correlator of the incremented degree multiset.
 
-    m must be a nonempty multiset of positive integers.  Memoized.  One
-    or two degrees are summed by the exponential formula without any Wick
-    call (module docstring): one degree is [x^(k+1)] exp(-k B) / (-k); for
-    two, each complement has one core block, and marking its slot in each
-    support turns exp(-k B) into (-k F) exp(-k B), so the sum is
-    sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  Otherwise the
-    multilinear expansion picks supports per run of equal degrees and
-    groups equal partition tuples so each distinct Wick evaluation runs
-    once, and sums their rational coefficients before attaching pi once.
+    m must be a nonempty multiset of positive integers.  Memoized.  Any
+    number of zeros is one hypertree series (module docstring), whose first
+    layer is the one- and two-zero closed forms; pi is attached once.
     """
     key = tuple(sorted((int(v) for v in m), reverse=True))
     if not key:
@@ -294,22 +299,9 @@ def c_value(m: Iterable[int]) -> PiValue:
     if cached is not None:
         return cached
 
-    # every Wick value here is a monomial in pi^(|a| - n + 2), by grading
-    exponent = sum(key) - len(key) + 2
-    if len(key) == 1:
-        total = _single_degree_sum(key[0])
-    elif len(key) == 2:
-        total = _two_degree_sum(*key)
-    else:
-        total = Fraction(0)
-        for tup, coeff in _grouped_supports(key).items():
-            if coeff:
-                total += wick.multi_bracket(tup).coefficient(exponent) * coeff
-
-    denom = math.factorial(sum(key))
-    for v in key:
-        denom *= v
-    value = PiValue.from_graded(total / denom, exponent)
+    denom = math.factorial(sum(key)) * math.prod(key)
+    # the sum is a monomial in pi^(|a| - n + 2), by grading
+    value = PiValue.from_graded(_hypertree_sum(key) / denom, sum(key) - len(key) + 2)
     _C_CACHE[key] = value
     return value
 
@@ -342,7 +334,6 @@ def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult
     st = _as_stratum(s)
     stripped = st.stripped
     start = time.perf_counter()
-    before = wick.term_count()
 
     cached = _VOLUME_CACHE.get(stripped)
     if cached is not None:
@@ -366,7 +357,6 @@ def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult
         value=value,
         prediction=pred,
         relative_error=_relative_error(value, pred),
-        terms_evaluated=wick.term_count() - before,
         elapsed=time.perf_counter() - start,
     )
 

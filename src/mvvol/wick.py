@@ -37,6 +37,10 @@ symmetric in its arguments), one entry per tuple that the recursion or a
 caller reaches: the coefficient, the complement count and whether a caller
 has asked for the tuple yet.  pi is attached per call.
 
+multi_bracket is a reference implementation off the volume path, which
+sums the same complements as one hypertree series (volumes docstring); the
+tests keep it as the oracle of volumes.c_value.
+
 term_count() is the number of complements of the distinct tuples that
 multi_bracket has been asked for, each counted on its first request since
 the cache was last cleared, in the calling thread (more precisely, the

@@ -1,10 +1,9 @@
 import math
 import random
-import sys
-import threading
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -14,8 +13,6 @@ from mvvol.exact_arith import PiValue
 from mvvol.f_expansion import capital_f
 from mvvol.volumes import (
     DEFAULT_MAX_WEIGHT,
-    _grouped_supports,
-    _two_degree_sum,
     InfeasibleSizeError,
     InvalidStratumError,
     Stratum,
@@ -89,6 +86,38 @@ def test_c_value_odd_grading_is_zero():
         assert c_value(a).is_zero(), a
 
 
+# -- c_value against the grouped-support Wick sum --------------------------------
+#
+# c_value is defined by the Wick sum over the power-sum supports of
+# prod_i capital_f(key_i).  Grouping equal partition tuples and making one
+# Wick call per tuple evaluates that definition directly: it is the oracle.
+
+
+def grouped_supports(key):
+    """Sorted partition tuple -> its coefficient in prod_i capital_f(key_i).
+
+    A run of r equal degrees k picks a multiset of r supports of
+    capital_f(k), weighted by the multinomial r! / prod(repeats!), instead
+    of r ordered choices.  No two choices of one pick per run give the same
+    tuple: the picks of a run are distinct multisets, and supports of
+    distinct degrees have distinct weights k + 1.
+    """
+    runs = []
+    for k, r in Counter(key).items():
+        support = sorted(capital_f(k).items())
+        picks = []
+        for idx in combinations_with_replacement(range(len(support)), r):
+            coeff = math.prod((support[i][1] for i in idx), start=Fraction(1))
+            coeff *= math.factorial(r) // math.prod(math.factorial(idx.count(i)) for i in set(idx))
+            picks.append(([support[i][0] for i in idx], coeff))
+        runs.append(picks)
+    grouped = {}
+    for choice in product(*runs):
+        coeff = math.prod((q for _, q in choice), start=Fraction(1))
+        grouped[tuple(sorted(lam for lams, _ in choice for lam in lams))] = coeff
+    return grouped
+
+
 def product_and_group(key):
     # one ordered support per degree, then equal sorted tuples grouped
     supports = [sorted(capital_f(k).items()) for k in key]
@@ -110,9 +139,18 @@ def test_grouped_supports_match_product_expansion():
         if key in seen:
             continue
         seen.add(key)
-        assert _grouped_supports(key) == product_and_group(key), key
+        assert grouped_supports(key) == product_and_group(key), key
     assert sum(len(set(key)) < len(key) for key in seen) >= 25
-    assert _grouped_supports((3,) * 6) == product_and_group((3,) * 6)
+    assert grouped_supports((3,) * 6) == product_and_group((3,) * 6)
+
+
+def wick_c_value(key):
+    # c_value(key) by one Wick call per grouped support tuple
+    exponent = sum(key) - len(key) + 2
+    total = Fraction(0)
+    for tup, coeff in grouped_supports(key).items():
+        total += multi_bracket(tup).coefficient(exponent) * coeff
+    return PiValue.from_graded(total / (math.factorial(sum(key)) * math.prod(key)), exponent)
 
 
 def support_sum(k):
@@ -132,34 +170,47 @@ def test_single_degree_series_matches_support_sum():
         assert value.is_zero() == (k % 2 == 0), k
 
 
-def grouped_support_sum(key):
-    # the sum of c_value(key) before normalization, by one Wick call per
-    # grouped support tuple
-    exponent = sum(key) - len(key) + 2
-    total = Fraction(0)
-    for tup, coeff in _grouped_supports(key).items():
-        total += multi_bracket(tup).coefficient(exponent) * coeff
-    return total
-
-
 def test_two_degree_sum_matches_grouped_supports():
     # odd k1 + k2 included: both sides vanish there by the grading
     clear_caches()
     keys = [(k1, k2) for k1 in range(1, 11) for k2 in range(1, k1 + 1)]
     for key in keys + [(13, 13), (17, 9)]:
-        assert _two_degree_sum(*key) == grouped_support_sum(key), key
+        assert c_value(key) == wick_c_value(key), key
 
 
-def test_closed_forms_make_no_wick_call(monkeypatch):
-    def refuse(args):
-        raise AssertionError(f"multi_bracket called on {args}")
+HYPERTREE_KEYS = [
+    (1,), (3,), (5,), (3, 1), (2, 1, 1), (3, 3), (4, 2), (2, 2, 2), (3, 2, 1),
+    (3, 3, 2), (4, 2, 2), (2,) * 4, (3, 2, 2, 1), (4, 3, 3), (5, 3, 2), (3,) * 4,
+    (2,) * 5, (5,) * 3, (2,) * 6, (3,) * 5, (7, 5, 3, 2, 2),
+]
 
+
+def test_c_value_matches_grouped_support_wick_sum():
+    # 1-7 zeros of degree 1-7; the total degree is capped at 22 so that the
+    # Wick oracle stays within seconds
+    rng = random.Random(120412)
+    seen = set()
+    while len(seen) < 60:
+        key = tuple(sorted((rng.randint(1, 7) for _ in range(rng.randint(1, 7))), reverse=True))
+        if sum(key) <= 22:
+            seen.add(key)
+    assert {len(key) for key in seen} == set(range(1, 8))
+    assert sum(len(set(key)) < len(key) for key in seen) >= 25
+    assert sum(1 in key for key in seen) >= 10
+    assert sum((sum(key) - len(key)) % 2 for key in seen) >= 10
     clear_caches()
-    monkeypatch.setattr(wick, "multi_bracket", refuse)
-    for key in ((7,), (12, 12), (9, 4), (5, 1)):
+    for key in sorted(seen | set(HYPERTREE_KEYS)):
+        assert c_value(key) == wick_c_value(key), key
+
+
+def test_closed_forms_make_no_wick_call():
+    # every number of zeros is one series: no Wick sum and no capital_f
+    # expansion is asked for
+    clear_caches()
+    for key in ((7,), (12, 12), (3, 2, 1), (3, 3, 3, 3), (5, 3, 2, 2, 1)):
         c_value(key)
-    with pytest.raises(AssertionError):
-        c_value((3, 2, 1))
+    assert not wick._CACHE
+    assert f_expansion._capital_f_items.cache_info().currsize == 0
 
 
 def test_c_value_errors():
@@ -208,60 +259,23 @@ def test_volume_result_fields():
     assert res.relative_error == Decimal("-0.278451177525908")
     assert res.pi_exponent == 4
     assert res.elapsed >= 0.0
-    # one or two zeros are summed without asking multi_bracket for anything
-    assert res.terms_evaluated == 0
-    assert volume(Stratum([4])).terms_evaluated == 0
-    assert volume(Stratum([2, 1, 1])).terms_evaluated > 0
 
 
 def test_clear_caches_empties_every_memo():
-    # strata with one or two zeros skip capital_f and the Wick memo, so
-    # fill them through a stratum with three zeros
+    # volumes skip capital_f and the Wick memo, so fill those directly
     memos = (exact_arith.bernoulli, exact_arith.zeta_even, exact_arith.frak_z,
              f_expansion._capital_f_items)
     tables = (bracket._CACHE, bracket._WEIGHTS, wick._CACHE, volumes._C_CACHE,
               volumes._VOLUME_CACHE)
     clear_caches()
     volume(Stratum([2, 1, 1]))
+    capital_f(3)
+    multi_bracket([(1, 1), (2,)])
     assert all(m.cache_info().currsize > 0 for m in memos)
     assert all(tables)
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
     assert [len(t) for t in tables] == [0, 0, 0, 0, 0]
-
-
-def test_terms_evaluated_counts_only_own_thread():
-    strata = ((2, 2, 2, 2), (3, 2, 1))
-    alone = {}
-    for m in strata:
-        clear_caches()
-        alone[m] = volume(Stratum(m)).terms_evaluated
-    assert all(alone.values())
-
-    def run_together():
-        clear_caches()
-        together = {}
-        start = threading.Barrier(len(strata))
-
-        def work(m):
-            start.wait()
-            together[m] = volume(Stratum(m)).terms_evaluated
-
-        threads = [threading.Thread(target=work, args=(m,)) for m in strata]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return together
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the two computations finely
-    try:
-        # a few rounds, since one round need not interleave the counts
-        rounds = [run_together() for _ in range(5)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(together == alone for together in rounds)
 
 
 def test_relative_error_frozen():
@@ -376,6 +390,13 @@ def test_all_twos_frozen_value():
     # H(2^6), g = 7, as computed by the complement enumeration
     value = volume(Stratum([2] * 6), max_weight=18).value
     assert value == mono(2352841223, 4321602251366400000, 14)
+
+
+def test_mixed_frozen_value():
+    # H(6,4,4,2,2,2,1,1), g = 12, as computed by the grouped-support Wick sum
+    value = volume(Stratum([6, 4, 4, 2, 2, 2, 1, 1]), max_weight=30).value
+    assert value == mono(7166961001277635012535153,
+                         30629702632809025428545630896128000000000, 24)
 
 
 def test_principal_domain():
