@@ -167,7 +167,7 @@ def error_term(m: Iterable[int]) -> PiValue:
     mm = _canonical(m)
     exponent = sum(mm) - len(mm) + 2
     lead = math.factorial(sum(mm)) * _z(exponent)
-    return PiValue.from_graded(coefficient(mm) - lead, exponent)
+    return PiValue(coefficient(mm) - lead, exponent)
 
 
 def coefficient(mm: tuple[int, ...]) -> Fraction:
@@ -186,7 +186,7 @@ def coefficient(mm: tuple[int, ...]) -> Fraction:
 def single_bracket(m: Iterable[int]) -> PiValue:
     """Exact correlator of the multiset m, built from the coefficient memo."""
     mm = _canonical(m)
-    return PiValue.from_graded(coefficient(mm), sum(mm) - len(mm) + 2)
+    return PiValue(coefficient(mm), sum(mm) - len(mm) + 2)
 
 
 def clear_cache() -> None:

@@ -145,7 +145,7 @@ def load_cache(path: str) -> set[tuple[int, ...]]:
             raise CacheError(
                 f"cache entry {key!r} claims pi-exponent {exp}, expected {sum(degrees) + 2}"
             )
-        loaded[degrees] = PiValue.from_graded(Fraction(num, den), exp)
+        loaded[degrees] = PiValue(Fraction(num, den), exp)
     volumes.volume_cache().update(loaded)
     return set(loaded)
 

@@ -1,10 +1,13 @@
 r"""Exact arithmetic on rational multiples of even powers of pi.
 
-Every quantity produced by the volume pipeline lives in the graded ring
-Q[pi^2, pi^-2]: a finite sum sum_e q_e * pi^e with q_e rational and every
-exponent e an even integer (negative exponents allowed).  PiValue stores the
-nonzero coefficients exactly and renders either as canonical text or as a
-fixed-precision decimal using an embedded 100-digit value of pi.
+Every quantity produced by the volume pipeline is a single monomial
+q * pi^e with q rational and e an even integer (negative exponents
+allowed): the grading fixes e for each bracket, c_value, volume and
+Siegel-Veech ratio (after Eskin-Okounkov, a volume is a rational multiple
+of pi^(2g)).  PiValue stores q exactly with its exponent and renders
+either as canonical text or as a fixed-precision decimal using an embedded
+100-digit value of pi.  A sum of two nonzero values with different
+exponents is refused: the grading never asks for one.
 
 Also provides the Bernoulli numbers (B_1 = -1/2 convention), the even zeta
 values as exact pi-monomials, and the alternating variant
@@ -18,7 +21,6 @@ k = 0 value encodes the zeta(0) = -1/2 convention: (2 - 2^2) * (-1/2) = 1.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -42,163 +44,108 @@ PI_DIGITS = (
 RationalLike = Union[int, Fraction]
 
 
-def _as_fraction(q: RationalLike) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    if isinstance(q, int):
-        return Fraction(q)
-    raise TypeError(f"expected an exact rational, got {type(q).__name__}")
-
-
 class PiValue:
-    """A finite exact sum of terms q * pi^e with even integer exponents e.
+    """An exact monomial q * pi^e: q a Fraction, e an even int.
 
-    Immutable and hashable; the term list is kept sorted by exponent with all
-    zero coefficients dropped, so equal values have equal representations.
+    Immutable and hashable.  Zero is stored with e = 0, so equal values
+    have equal representations.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("q", "e")
 
-    def __init__(self, terms: Union[Mapping[int, RationalLike], Iterable[tuple[int, RationalLike]]] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
-        acc: dict[int, Fraction] = {}
-        for e, q in items:
-            if not isinstance(e, int) or e % 2 != 0:
-                raise ValueError(f"pi-exponent must be an even integer, got {e!r}")
-            q = _as_fraction(q)
-            if q:
-                acc[e] = acc.get(e, Fraction(0)) + q
-        self._terms = tuple(sorted((e, q) for e, q in acc.items() if q))
-
-    # -- constructors -----------------------------------------------------
+    def __init__(self, q: RationalLike, exponent: int = 0):
+        """q * pi^exponent.  q must be an int or a Fraction (TypeError
+        otherwise, checked first); a nonzero q needs an even int exponent
+        (ValueError otherwise), while a zero q gives zero whatever the
+        exponent, as a grading may assign an odd one to a vanishing sum."""
+        if isinstance(q, int):
+            q = Fraction(q)
+        elif not isinstance(q, Fraction):
+            raise TypeError(f"expected an exact rational, got {type(q).__name__}")
+        if not q:
+            exponent = 0
+        elif not isinstance(exponent, int) or exponent % 2 != 0:
+            raise ValueError(f"pi-exponent must be an even integer, got {exponent!r}")
+        self.q = q
+        self.e = exponent
 
     @classmethod
     def zero(cls) -> "PiValue":
-        return cls()
-
-    @classmethod
-    def from_rational(cls, q: RationalLike, exponent: int = 0) -> "PiValue":
-        return cls([(exponent, q)])
-
-    @classmethod
-    def from_graded(cls, q: RationalLike, exponent: int) -> "PiValue":
-        """q * pi^exponent where a grading fixes the exponent: zero when q
-        is zero, whose exponent may then be odd (its terms all vanished).
-
-        Builds its one term directly: the same value as
-        PiValue([(exponent, q)]), and the same errors for a nonzero int or
-        Fraction q; a float q raises TypeError whatever its exponent.
-        """
-        q = _as_fraction(q)
-        if not q:
-            return cls()
-        if not isinstance(exponent, int) or exponent % 2 != 0:
-            raise ValueError(f"pi-exponent must be an even integer, got {exponent!r}")
-        value = cls.__new__(cls)
-        value._terms = ((exponent, q),)
-        return value
+        return cls(0)
 
     # -- structure --------------------------------------------------------
 
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
     def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
+        return not self.q
 
     def monomial(self) -> tuple[Fraction, int]:
-        """Return (coefficient, exponent); raises unless exactly one term."""
-        if len(self._terms) != 1:
+        """Return (coefficient, exponent); raises for zero, which has no
+        pi-exponent."""
+        if not self.q:
             raise ValueError(f"not a monomial: {self}")
-        e, q = self._terms[0]
-        return q, e
+        return self.q, self.e
 
     def coefficient(self, exponent: int) -> Fraction:
-        for e, q in self._terms:
-            if e == exponent:
-                return q
-        return Fraction(0)
+        return self.q if exponent == self.e else Fraction(0)
 
     # -- ring operations --------------------------------------------------
+
+    def _exponent_with(self, other: "PiValue") -> int:
+        """Common exponent of a sum; a zero summand takes the other's."""
+        if not other.q or self.e == other.e:
+            return self.e
+        if not self.q:
+            return other.e
+        raise ValueError(f"cannot add pi-monomials of different exponents: {self}, {other}")
 
     def __add__(self, other: "PiValue") -> "PiValue":
         if not isinstance(other, PiValue):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, q in other._terms:
-            acc[e] = acc.get(e, Fraction(0)) + q
-        return PiValue(acc)
+        return PiValue(self.q + other.q, self._exponent_with(other))
 
     def __sub__(self, other: "PiValue") -> "PiValue":
         if not isinstance(other, PiValue):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, q in other._terms:
-            acc[e] = acc.get(e, Fraction(0)) - q
-        return PiValue(acc)
+        return PiValue(self.q - other.q, self._exponent_with(other))
 
     def __neg__(self) -> "PiValue":
-        return PiValue([(e, -q) for e, q in self._terms])
+        return PiValue(-self.q, self.e)
 
     def __mul__(self, other: Union["PiValue", RationalLike]) -> "PiValue":
         if isinstance(other, PiValue):
-            acc: dict[int, Fraction] = {}
-            for e1, q1 in self._terms:
-                for e2, q2 in other._terms:
-                    e = e1 + e2
-                    acc[e] = acc.get(e, Fraction(0)) + q1 * q2
-            return PiValue(acc)
+            return PiValue(self.q * other.q, self.e + other.e)
         if isinstance(other, (int, Fraction)):
-            return PiValue([(e, q * other) for e, q in self._terms])
+            return PiValue(self.q * other, self.e)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["PiValue", RationalLike]) -> "PiValue":
         if isinstance(other, PiValue):
-            q, e = other.monomial()  # only monomial divisors make sense here
-            return PiValue([(e1 - e, q1 / q) for e1, q1 in self._terms])
+            return PiValue(self.q / other.q, self.e - other.e)
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of PiValue by zero")
-            return PiValue([(e, q / other) for e, q in self._terms])
+            return PiValue(self.q / other, self.e)
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.q)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PiValue):
-            return self._terms == other._terms
+            return self.q == other.q and self.e == other.e
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash((self.q, self.e))
 
     # -- rendering --------------------------------------------------------
 
-    @staticmethod
-    def _term_str(q: Fraction, e: int) -> str:
-        if e == 0:
-            return str(q)
-        return f"{q} * pi^{e}"
-
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        e0, q0 = self._terms[0]
-        parts = [self._term_str(q0, e0)]
-        for e, q in self._terms[1:]:
-            sign = " + " if q > 0 else " - "
-            parts.append(sign + self._term_str(abs(q), e))
-        return "".join(parts)
+        if not self.e:  # zero included
+            return str(self.q)
+        return f"{self.q} * pi^{self.e}"
 
     def __repr__(self) -> str:
         return f"PiValue({self})"
@@ -209,15 +156,13 @@ class PiValue:
             raise ValueError("digits must be between 1 and 100")
         with localcontext() as ctx:
             ctx.prec = digits + 15
-            pi = Decimal(PI_DIGITS)
-            total = Decimal(0)
-            for e, q in self._terms:
-                total += Decimal(q.numerator) / Decimal(q.denominator) * pi**e
+            q = Decimal(self.q.numerator) / Decimal(self.q.denominator)
+            total = q * Decimal(PI_DIGITS) ** self.e
             ctx.prec = digits
             return +total
 
     def to_float(self) -> float:
-        return sum(float(q) * math.pi**e for e, q in self._terms)
+        return float(self.q) * math.pi**self.e
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +194,7 @@ def zeta_even(k: int) -> PiValue:
     if k < 2 or k % 2 != 0:
         raise ValueError("zeta_even needs an even argument k >= 2")
     q = (-1) ** (k // 2 + 1) * bernoulli(k) * 2 ** (k - 1) / math.factorial(k)
-    return PiValue.from_rational(q, k)
+    return PiValue(q, k)
 
 
 @lru_cache(maxsize=None)
@@ -262,5 +207,5 @@ def frak_z(k: int) -> PiValue:
     if k < 0 or k % 2 != 0:
         return PiValue.zero()
     if k == 0:
-        return PiValue.from_rational(1)
+        return PiValue(1)
     return zeta_even(k) * (2 - Fraction(2) ** (2 - k))

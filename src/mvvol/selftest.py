@@ -44,7 +44,7 @@ __all__ = ["run_selftest", "CHECKS"]
 
 
 def _mono(num: int, den: int, exp: int) -> PiValue:
-    return PiValue([(exp, Fraction(num, den))])
+    return PiValue(Fraction(num, den), exp)
 
 
 def _check_minimal(max_weight: int) -> tuple[bool, str]:

@@ -9,10 +9,11 @@ times a power of pi:
 
 * sc_constant: connections joining zeros i != j; derived adds m_i + m_j,
   factor m_i + m_j + 1, predictor (m_i + 1)(m_j + 1); rational.
-* loop_per_angle: loops at zero i splitting its cone angle at j; derived
-  adds j - 1 and m_i - j - 1 (genus g - 1), factor j (m_i - j) and
-  predictor m_i + 1, both halved for the symmetric split because the two
-  loop ends are interchangeable; pi-exponent -2.
+* loop_per_angle: loops at zero i splitting its cone angle at j, for
+  1 <= j <= m_i - 1 (ValueError otherwise, so on any zero of degree
+  below 2); derived adds j - 1 and m_i - j - 1 (genus g - 1), factor
+  j (m_i - j) and predictor m_i + 1, both halved for the symmetric split
+  because the two loop ends are interchangeable; pi-exponent -2.
 * cyl_constant: multiplicity-one cylinders between zeros i != j; derived
   adds m_i - 1 and m_j - 1, factor m_i m_j / (D - 2) with D the complex
   dimension, predictor (m_i + 1)(m_j + 1) / (D - 2); pi-exponent -2.
@@ -20,9 +21,9 @@ times a power of pi:
   adds m_i - 2, factor (m_i - 1)^2 / (2 (D - 2)), predictor
   (m_i + 1)(m_i - 1) / (2 (D - 2)); pi-exponent -2.
 
-Configurations that cannot occur (loops on a zero of degree below 2,
-handles on a simple zero) are an exact 0 with predictor 0.  The rest are
-sums: loop_constant over the unordered angle splits at one zero,
+Configurations that cannot occur (loop_constant at a zero of degree
+below 2, handles on a simple zero) are an exact 0 with predictor 0.  The
+rest are sums: loop_constant over the unordered angle splits at one zero,
 cyl1_total over every zero pair and handle, area1_constant =
 cyl1_total / (D - 1), and sc2_principal, the genus-splitting correction
 for principal strata (products of two smaller principal volumes;
@@ -181,15 +182,13 @@ def loop_per_angle(
 
     The loop cuts the degree-m_i cone point into boundary orders
     b' = j - 1 and b'' = m_i - j - 1; the surviving surface loses a handle.
-    The symmetric split b' = b'' carries the extra 1/2.  Simple zeros bound
-    no loops at all, so m_i < 2 returns an exact 0 for any j >= 1.
+    The symmetric split b' = b'' carries the extra 1/2.  A zero of degree
+    below 2 has no position j, so every j raises ValueError there.
     """
     st = _as_stratum(s)
     mi = _degree(st, i)
-    if j < 1 or (mi >= 2 and j >= mi):
+    if not 1 <= j < mi:
         raise ValueError(f"angle index {j} out of range for a degree-{mi} zero")
-    if mi < 2:
-        return _result("loop_per_angle", st, PiValue.zero(), 0, (i,), j)
     b1, b2 = j - 1, mi - j - 1
     sym = 2 if b1 == b2 else 1
     return _config(

@@ -175,7 +175,6 @@ class VolumeResult:
         return self.value.monomial()[1]
 
 
-_C_CACHE: dict[tuple[int, ...], PiValue] = {}
 _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
 
 
@@ -286,24 +285,20 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
 def c_value(m: Iterable[int]) -> PiValue:
     """Normalized correlator of the incremented degree multiset.
 
-    m must be a nonempty multiset of positive integers.  Memoized.  Any
-    number of zeros is one hypertree series (module docstring), whose first
-    layer is the one- and two-zero closed forms; pi is attached once.
+    m must be a nonempty multiset of positive integers.  Not memoized
+    itself: volume() keeps each stratum's value, and the brackets the
+    series reads are memoized in bracket.  Any number of zeros is one
+    hypertree series (module docstring), whose first layer is the one- and
+    two-zero closed forms; pi is attached once.
     """
     key = tuple(sorted((int(v) for v in m), reverse=True))
     if not key:
         raise ValueError("c_value of an empty multiset")
     if key[-1] <= 0:
         raise ValueError(f"entries must be positive: {key}")
-    cached = _C_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     denom = math.factorial(sum(key)) * math.prod(key)
     # the sum is a monomial in pi^(|a| - n + 2), by grading
-    value = PiValue.from_graded(_hypertree_sum(key) / denom, sum(key) - len(key) + 2)
-    _C_CACHE[key] = value
-    return value
+    return PiValue(_hypertree_sum(key) / denom, sum(key) - len(key) + 2)
 
 
 def prediction(s: StratumLike) -> Fraction:
@@ -383,7 +378,7 @@ def principal_volume(g: int) -> PiValue:
         for mult in mu.multiplicities().values():
             denom *= math.factorial(mult)
         coeff = Fraction((-1) ** (ell - 1), denom)
-        term = PiValue.from_rational(coeff)
+        term = PiValue(coeff)
         for p in mu:
             term = term * (frak_z(p) * _odd_double_factorial(2 * p - 3))
         total += term
@@ -391,9 +386,8 @@ def principal_volume(g: int) -> PiValue:
 
 
 def clear_caches() -> None:
-    """Drop every memo table in the pipeline: volumes, c_value, Wick sums,
-    brackets, capital_f expansions, and the Bernoulli and zeta values."""
-    _C_CACHE.clear()
+    """Drop every memo table in the pipeline: volumes, Wick sums, brackets,
+    capital_f expansions, and the Bernoulli and zeta values."""
     _VOLUME_CACHE.clear()
     wick.clear_cache()
     bracket.clear_cache()

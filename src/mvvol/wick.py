@@ -29,27 +29,19 @@ product, so the sum runs over distributions of the multiset R, weighted by
 a multinomial per distinct argument; it is taken slot by slot as a product
 of generating series in the argument counts, truncated at R.  The root is
 the longest argument; when every argument has one part the only complement
-is a single block, so W = bracket.coefficient(all values).  The same
-recursion carries the number of complements (1 at the base case).
+is a single block, so W = bracket.coefficient(all values).
 
-Values are memoized on the sorted argument tuple (the correlator is
+Coefficients are memoized on the sorted argument tuple (the correlator is
 symmetric in its arguments), one entry per tuple that the recursion or a
-caller reaches: the coefficient, the complement count and whether a caller
-has asked for the tuple yet.  pi is attached per call.
+caller reaches.  pi is attached per call.
 
 multi_bracket is a reference implementation off the volume path, which
 sums the same complements as one hypertree series (volumes docstring); the
 tests keep it as the oracle of volumes.c_value.
-
-term_count() is the number of complements of the distinct tuples that
-multi_bracket has been asked for, each counted on its first request since
-the cache was last cleared, in the calling thread (more precisely, the
-calling context); odd-graded tuples, whose value is zero, count too.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -59,37 +51,35 @@ from .bracket import coefficient
 from .combinatorics import Partition
 from .exact_arith import PiValue
 
-__all__ = ["multi_bracket", "clear_cache", "term_count"]
+__all__ = ["multi_bracket", "clear_cache"]
 
-# sorted argument tuple -> (coefficient, complement count, requested yet)
-_CACHE: dict[tuple[tuple[int, ...], ...], tuple[Fraction, int, bool]] = {}
-_TERMS_SEEN: ContextVar[int] = ContextVar("mvvol_wick_terms_seen", default=0)
+# sorted argument tuple -> coefficient
+_CACHE: dict[tuple[tuple[int, ...], ...], Fraction] = {}
 
 
-def _solve(key: tuple[tuple[int, ...], ...]) -> tuple[Fraction, int, bool]:
-    """Memo entry of a sorted argument tuple, by the rooted-tree recursion."""
-    entry = _CACHE.get(key)
-    if entry is not None:
-        return entry
+def _solve(key: tuple[tuple[int, ...], ...]) -> Fraction:
+    """Coefficient of a sorted argument tuple, by the rooted-tree recursion."""
+    q = _CACHE.get(key)
+    if q is not None:
+        return q
     root = max(key, key=len)
     if len(root) == 1:
-        entry = (coefficient(tuple(sorted((a[0] for a in key), reverse=True))), 1, False)
-        _CACHE[key] = entry
-        return entry
+        q = _CACHE[key] = coefficient(tuple(sorted((a[0] for a in key), reverse=True)))
+        return q
 
     rest = list(key)
     rest.remove(root)
     kinds = sorted(set(rest))
     mult = [rest.count(k) for k in kinds]
     # acc: count vector c of the arguments handed to the slots done so far
-    # -> (coefficient, complements) summed over those hand-outs; a slot
-    # taking d more multiplies by prod_j C(c_j + d_j, d_j), and these
-    # binomials build each distribution's multinomial weight
-    acc = {(0,) * len(kinds): (Fraction(1), 1)}
+    # -> coefficient summed over those hand-outs; a slot taking d more
+    # multiplies by prod_j C(c_j + d_j, d_j), and these binomials build each
+    # distribution's multinomial weight
+    acc = {(0,) * len(kinds): Fraction(1)}
     last = len(root) - 1
     for i, v in enumerate(root):
-        nxt: dict[tuple[int, ...], tuple[Fraction, int]] = {}
-        for c, (q, t) in acc.items():
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for c, q in acc.items():
             room = [m - x for m, x in zip(mult, c)]
             shares = [tuple(room)] if i == last else product(*(range(r + 1) for r in room))
             for d in shares:
@@ -99,15 +89,13 @@ def _solve(key: tuple[tuple[int, ...], ...]) -> tuple[Fraction, int, bool]:
                     if y:
                         branch.extend([kind] * y)
                         weight *= comb(x + y, y)
-                bq, bt, _ = _solve(tuple(sorted(branch)))
+                bq = _solve(tuple(sorted(branch)))
                 s = tuple(x + y for x, y in zip(c, d))
-                sq, st = nxt.get(s, (0, 0))
-                nxt[s] = (sq + q * bq * weight if q and bq else sq, st + t * bt * weight)
+                sq = nxt.get(s, 0)
+                nxt[s] = sq + q * bq * weight if q and bq else sq
         acc = nxt
-    q, t = acc[tuple(mult)]
-    entry = (Fraction(q), t, False)
-    _CACHE[key] = entry
-    return entry
+    q = _CACHE[key] = Fraction(acc[tuple(mult)])
+    return q
 
 
 def multi_bracket(args: Iterable[Iterable[int]]) -> PiValue:
@@ -117,19 +105,10 @@ def multi_bracket(args: Iterable[Iterable[int]]) -> PiValue:
         raise ValueError("multi_bracket needs at least one argument")
     if not all(key):
         raise ValueError("empty partition argument")
-    q, terms, requested = _solve(key)
-    if not requested:
-        _CACHE[key] = (q, terms, True)
-        _TERMS_SEEN.set(_TERMS_SEEN.get() + terms)
+    q = _solve(key)
     exponent = sum(map(sum, key)) + sum(map(len, key)) - 2 * len(key) + 2
-    return PiValue.from_graded(q, exponent)
-
-
-def term_count() -> int:
-    """Complements of the tuples requested so far in this context (diagnostic only)."""
-    return _TERMS_SEEN.get()
+    return PiValue(q, exponent)
 
 
 def clear_cache() -> None:
     _CACHE.clear()
-    _TERMS_SEEN.set(0)

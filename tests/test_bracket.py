@@ -11,7 +11,7 @@ from mvvol.exact_arith import PiValue, frak_z
 
 
 def mono(num, den, exp):
-    return PiValue([(exp, Fraction(num, den))])
+    return PiValue(Fraction(num, den), exp)
 
 
 def naive_error(m):
@@ -26,7 +26,7 @@ def naive_error(m):
             continue
         pref = Fraction((-1) ** (ell - 1) * math.factorial(ell - 2))
         for d in nonneg_compositions(ell - 2, ell):
-            term = PiValue.from_rational(pref)
+            term = PiValue(pref)
             for block, di in zip(alpha, d):
                 s = sum(m[x - 1] for x in block)
                 z = frak_z(s - len(block) - di + 1)
@@ -137,7 +137,7 @@ def test_error_term_matches_set_partition_oracle():
         n = rng.randint(4, 7)
         cases.add(tuple(sorted(rng.sample(range(1, 10), n), reverse=True)))
     for m in sorted(cases):
-        want = PiValue.from_graded(set_partition_error_term(m), sum(m) - len(m) + 2)
+        want = PiValue(set_partition_error_term(m), sum(m) - len(m) + 2)
         assert error_term(m) == want, m
 
 

@@ -268,6 +268,16 @@ def test_sv_loop_per_angle_takes_zeros_and_angle(capsys):
     assert "--angle" in err
 
 
+@pytest.mark.parametrize("stratum, zero, angle", [
+    ("1,1", "1", "1"), ("1,1", "1", "99"), ("2,0", "2", "1"), ("3,1", "2", "1"),
+])
+def test_sv_loop_per_angle_refuses_zero_of_degree_below_two(stratum, zero, angle, capsys):
+    code, out, err = run(["sv", stratum, "--kind", "loop_per_angle", "--zeros", zero,
+                          "--angle", angle, "--format", "json"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: angle index") and "out of range" in err
+
+
 # -- parse-time bounds on numeric flags -------------------------------------------
 
 

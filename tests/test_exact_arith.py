@@ -37,10 +37,10 @@ def test_bernoulli_rejects_negative():
 
 
 def test_zeta_even_known_values():
-    assert zeta_even(2) == PiValue([(2, Fraction(1, 6))])
-    assert zeta_even(4) == PiValue([(4, Fraction(1, 90))])
-    assert zeta_even(6) == PiValue([(6, Fraction(1, 945))])
-    assert zeta_even(8) == PiValue([(8, Fraction(1, 9450))])
+    assert zeta_even(2) == PiValue(Fraction(1, 6), 2)
+    assert zeta_even(4) == PiValue(Fraction(1, 90), 4)
+    assert zeta_even(6) == PiValue(Fraction(1, 945), 6)
+    assert zeta_even(8) == PiValue(Fraction(1, 9450), 8)
 
 
 def test_zeta_even_rejects_bad_arguments():
@@ -52,9 +52,9 @@ def test_zeta_even_rejects_bad_arguments():
 def test_frak_z_table():
     assert frak_z(3) == PiValue.zero()
     assert frak_z(-2) == PiValue.zero()
-    assert frak_z(0) == PiValue.from_rational(1)
-    assert frak_z(2) == PiValue([(2, Fraction(1, 6))])
-    assert frak_z(4) == PiValue([(4, Fraction(7, 360))])
+    assert frak_z(0) == PiValue(1)
+    assert frak_z(2) == PiValue(Fraction(1, 6), 2)
+    assert frak_z(4) == PiValue(Fraction(7, 360), 4)
 
 
 def test_frak_z_approaches_two():
@@ -65,14 +65,14 @@ def test_frak_z_approaches_two():
 
 def test_pivalue_rejects_odd_exponent():
     with pytest.raises(ValueError):
-        PiValue([(3, Fraction(1, 2))])
+        PiValue(Fraction(1, 2), 3)
 
 
-def test_from_graded_zero_ignores_exponent_parity():
-    assert PiValue.from_graded(Fraction(0), 3).is_zero()
-    assert PiValue.from_graded(Fraction(2, 7), 4) == PiValue.from_rational(Fraction(2, 7), 4)
+def test_zero_ignores_exponent_parity():
+    assert PiValue(Fraction(0), 3).is_zero()
+    assert PiValue(Fraction(2, 7), 4).monomial() == (Fraction(2, 7), 4)
     with pytest.raises(ValueError):
-        PiValue.from_graded(Fraction(1, 2), 3)
+        PiValue(Fraction(1, 2), 3)
 
 
 EXACT_QS = [3, -5, Fraction(2, 7), Fraction(-9, 4), 0, Fraction(0)]
@@ -80,101 +80,105 @@ EXACT_QS = [3, -5, Fraction(2, 7), Fraction(-9, 4), 0, Fraction(0)]
 
 @pytest.mark.parametrize("q", EXACT_QS + [1.5, -2.0, 0.0])
 @pytest.mark.parametrize("e", [-2, 0, 4, 3, -1, 2.0, "4", None])
-def test_from_graded_matches_generic_constructor(q, e):
-    def outcome(build):
-        try:
-            return build()
-        except (TypeError, ValueError) as exc:
-            return type(exc)
-
-    generic = outcome(lambda: PiValue([(e, q)]))
-    direct = outcome(lambda: PiValue.from_graded(q, e))
+def test_constructor_validates_q_then_exponent(q, e):
+    try:
+        value = PiValue(q, e)
+    except (TypeError, ValueError) as exc:
+        value = type(exc)
     if isinstance(q, float):
-        # both refuse a float; from_graded looks at q before the exponent
-        assert direct is TypeError
-        assert generic in (TypeError, ValueError)
+        # a float is refused before the exponent is looked at
+        assert value is TypeError
     elif q == 0:
-        # a zero q gives zero whatever its exponent; the generic
-        # constructor still refuses a bad one
-        assert direct == PiValue() and direct.terms == {}
-        assert generic in (PiValue(), ValueError)
-    elif isinstance(generic, type):
-        assert direct is generic
+        # zero whatever its exponent, stored at exponent 0
+        assert value == PiValue.zero() and (value.q, value.e) == (0, 0)
+        assert hash(value) == hash(PiValue.zero()) and str(value) == "0"
+    elif type(e) is not int or e % 2:
+        assert value is ValueError
     else:
-        assert direct == generic
-        assert hash(direct) == hash(generic)
-        assert str(direct) == str(generic)
-        assert direct.terms == generic.terms
-        assert all(type(c) is Fraction for c in direct.terms.values())
+        assert value.monomial() == (q, e)
+        assert type(value.q) is Fraction and value.coefficient(e) == q
+        assert value.coefficient(e + 2) == 0
 
 
 def test_pivalue_drops_zero_coefficients():
-    v = PiValue([(2, Fraction(1, 3)), (2, Fraction(-1, 3)), (4, 1)])
-    assert v.terms == {4: Fraction(1)}
-    assert v.is_monomial()
+    v = PiValue(Fraction(1, 3), 2) - PiValue(Fraction(1, 3), 2)
+    assert v.is_zero() and not v
+    assert (v.q, v.e) == (0, 0) and v == PiValue(0, 6)
+    assert PiValue(3, 4) * 0 == PiValue.zero()
+    with pytest.raises(ValueError):
+        v.monomial()  # zero has no pi-exponent
 
 
-def _random_value(rng):
-    terms = []
-    for _ in range(rng.randrange(4)):
-        e = 2 * rng.randrange(-3, 6)
-        q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 12))
-        terms.append((e, q))
-    return PiValue(terms)
+def _random_value(rng, e):
+    return PiValue(Fraction(rng.randrange(-9, 10), rng.randrange(1, 12)), e)
 
 
 def test_pivalue_ring_laws():
+    # sums need a shared exponent; products may mix them
     rng = random.Random(7)
     zero = PiValue.zero()
-    one = PiValue.from_rational(1)
+    one = PiValue(1)
     for _ in range(200):
-        a, b, c = (_random_value(rng) for _ in range(3))
+        e, f = (2 * rng.randrange(-3, 6) for _ in range(2))
+        a, b, c = (_random_value(rng, e) for _ in range(3))
+        d = _random_value(rng, f)
         assert a + b == b + a
-        assert a * b == b * a
+        assert a * d == d * a
         assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + zero == a
+        assert (a * b) * d == a * (b * d)
+        assert d * (b + c) == d * b + d * c
+        assert a + zero == a == zero + a
         assert a * one == a
         assert a - a == zero
         assert a + (-a) == zero
 
 
-def test_pivalue_monomial_division():
-    a = PiValue([(6, Fraction(3, 4))])
-    b = PiValue([(2, Fraction(1, 2))])
-    assert a / b == PiValue([(4, Fraction(3, 2))])
-    assert (a / b).monomial() == (Fraction(3, 2), 4)
-    mixed = PiValue([(0, 1), (2, Fraction(1, 6))])
-    assert mixed / b == PiValue([(-2, 2), (0, Fraction(1, 3))])
+def test_pivalue_mixed_exponent_sum_raises():
+    a, b = PiValue(Fraction(1, 6), 2), PiValue(Fraction(-7, 360), 4)
     with pytest.raises(ValueError):
-        a / mixed  # only monomial divisors
+        a + b
+    with pytest.raises(ValueError):
+        b - a
+    # zero has no exponent of its own, so it adds to anything
+    assert PiValue(0, 4) + a == a - PiValue.zero() == a
+
+
+def test_pivalue_monomial_division():
+    a = PiValue(Fraction(3, 4), 6)
+    b = PiValue(Fraction(1, 2), 2)
+    assert a / b == PiValue(Fraction(3, 2), 4)
+    assert (a / b).monomial() == (Fraction(3, 2), 4)
+    assert b / a == PiValue(Fraction(2, 3), -4)
+    assert a * b == PiValue(Fraction(3, 8), 8)
+    assert (a * b) / a == b and (a / b) * b == a
+    assert PiValue.zero() / b == PiValue.zero()
+    with pytest.raises(ZeroDivisionError):
+        a / PiValue.zero()
 
 
 def test_pivalue_scalar_operations():
-    a = PiValue([(4, Fraction(1, 3))])
-    assert 3 * a == PiValue([(4, 1)])
-    assert a / 2 == PiValue([(4, Fraction(1, 6))])
+    a = PiValue(Fraction(1, 3), 4)
+    assert 3 * a == PiValue(1, 4)
+    assert a / 2 == PiValue(Fraction(1, 6), 4)
     with pytest.raises(ZeroDivisionError):
         a / 0
 
 
 def test_pivalue_rendering():
     assert str(PiValue.zero()) == "0"
-    assert str(PiValue.from_rational(Fraction(5, 3))) == "5/3"
-    assert str(PiValue([(4, Fraction(1, 120))])) == "1/120 * pi^4"
-    assert str(PiValue([(-2, 20)])) == "20 * pi^-2"
-    assert str(PiValue([(4, Fraction(-1, 9))])) == "-1/9 * pi^4"
-    two_terms = PiValue([(2, Fraction(1, 6)), (4, Fraction(-7, 360))])
-    assert str(two_terms) == "1/6 * pi^2 - 7/360 * pi^4"
-    assert str(-two_terms) == "-1/6 * pi^2 + 7/360 * pi^4"
+    assert str(PiValue(Fraction(5, 3))) == "5/3"
+    assert str(PiValue(Fraction(1, 120), 4)) == "1/120 * pi^4"
+    assert str(PiValue(20, -2)) == "20 * pi^-2"
+    assert str(PiValue(Fraction(-1, 9), 4)) == "-1/9 * pi^4"
+    assert str(-PiValue(Fraction(1, 9), 4)) == "-1/9 * pi^4"
+    assert repr(PiValue(Fraction(1, 6), 2)) == "PiValue(1/6 * pi^2)"
 
 
 def test_pivalue_decimal_rendering():
-    v = PiValue([(4, Fraction(1, 135))])
+    v = PiValue(Fraction(1, 135), 4)
     assert str(v.to_decimal(10)) == "0.7215488225"
     assert str(v.to_decimal(15)) == "0.721548822474092"
-    pi2 = PiValue([(2, 1)])
+    pi2 = PiValue(1, 2)
     assert str(pi2.to_decimal(12)) == "9.86960440109"
     assert PiValue.zero().to_decimal(10) == Decimal(0)
     with pytest.raises(ValueError):
@@ -182,8 +186,9 @@ def test_pivalue_decimal_rendering():
 
 
 def test_pivalue_hash_and_equality():
-    a = PiValue([(2, Fraction(1, 6))])
-    b = PiValue({2: Fraction(1, 6)})
+    a = PiValue(Fraction(1, 6), 2)
+    b = PiValue(Fraction(2, 12), 2)
     assert a == b and hash(a) == hash(b)
-    assert a != PiValue([(2, Fraction(1, 5))])
+    assert a != PiValue(Fraction(1, 5), 2)
+    assert a != PiValue(Fraction(1, 6), 4)
     assert len({a, b}) == 1

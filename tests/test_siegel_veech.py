@@ -18,7 +18,7 @@ from mvvol.volumes import Stratum, volume
 
 
 def mono(num, den, exp):
-    return PiValue([(exp, Fraction(num, den))])
+    return PiValue(Fraction(num, den), exp)
 
 
 # -- saddle connections between distinct zeros -----------------------------------
@@ -76,14 +76,16 @@ def test_loop_per_angle_frozen_values():
 
 
 def test_loop_on_simple_zero_is_zero():
-    r = loop_per_angle(Stratum([1, 1]), 1, 1)
+    r = loop_constant(Stratum([1, 1]), 2)
     assert r.value.is_zero()
-    assert r.kind == "loop_per_angle"
+    assert r.kind == "loop"
     assert r.predictor == 0
-    assert loop_constant(Stratum([1, 1]), 2).value.is_zero()
-    # a simple zero takes any angle index j >= 1, but no other
-    with pytest.raises(ValueError):
-        loop_per_angle(Stratum([1, 1]), 1, 0)
+    assert loop_constant(Stratum([2, 0]), 2).value.is_zero()
+    # a zero of degree below 2 has no angle index 1..m_i-1 to split at
+    for degrees, i in (([1, 1], 1), ([2, 0], 2)):
+        for j in (0, 1, 99):
+            with pytest.raises(ValueError):
+                loop_per_angle(Stratum(degrees), i, j)
 
 
 def test_loop_angle_range():

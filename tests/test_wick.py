@@ -15,11 +15,11 @@ from mvvol.combinatorics import (
     partitions_of_size,
 )
 from mvvol.exact_arith import PiValue
-from mvvol.wick import multi_bracket, term_count
+from mvvol.wick import multi_bracket
 
 
 def mono(num, den, exp):
-    return PiValue([(exp, Fraction(num, den))])
+    return PiValue(Fraction(num, den), exp)
 
 
 class LabeledSlotMap:
@@ -119,14 +119,14 @@ def test_parity_zero():
     assert multi_bracket([(1,), (1, 1)]).is_zero() is False
 
 
-def test_memo_and_term_counter():
+def test_memo_serves_reordered_arguments():
     wick.clear_cache()
-    assert term_count() == 0
-    multi_bracket([(1, 1), (2,)])
-    first = term_count()
-    assert first > 0
-    multi_bracket([(2,), (1, 1)])  # same multiset of args, served from memo
-    assert term_count() == first
+    first = multi_bracket([(1, 1), (2,)])
+    entries = len(wick._CACHE)
+    assert entries > 0
+    # same multiset of args, served from memo
+    assert multi_bracket([(2,), (1, 1)]) == first
+    assert len(wick._CACHE) == entries
 
 
 def test_empty_argument_list_rejected():
@@ -142,7 +142,7 @@ def oracle_multi_bracket(args):
     slot_map = LabeledSlotMap(tuple(sorted(Partition(a) for a in args)))
     total = PiValue.zero()
     for alpha in complementary_partitions(slot_map.rho):
-        term = PiValue.from_rational(1)
+        term = PiValue(1)
         for block in alpha:
             term = term * single_bracket(slot_map.values_in(block))
         total = total + term
@@ -171,29 +171,26 @@ def test_multi_bracket_matches_pivalue_oracle():
     assert max(sum(len(a) for a in args) for args in seen) == 8
 
 
-def test_multi_bracket_zero_for_odd_grading_still_counts_terms():
+def test_multi_bracket_zero_for_odd_grading_after_clear():
     wick.clear_cache()
     assert multi_bracket([(2,), (1, 1)]).is_zero()
-    assert term_count() > 0
 
 
 # -- differential sweep: the rooted-tree recursion against the complement sum ---
 
 
-def oracle_coefficient_and_terms(args):
-    # the defining complement sum in Fractions, and len(complements)
+def oracle_coefficient(args):
+    # the defining complement sum in Fractions
     slot_map = LabeledSlotMap(tuple(sorted(Partition(a) for a in args)))
     total = Fraction(0)
-    terms = 0
     for alpha in complementary_partitions(slot_map.rho):
-        terms += 1
         prod = Fraction(1)
         for block in alpha:
             prod *= coefficient(tuple(sorted(slot_map.values_in(block), reverse=True)))
             if not prod:
                 break
         total += prod
-    return total, terms
+    return total
 
 
 def exponent_of(args):
@@ -201,11 +198,9 @@ def exponent_of(args):
 
 
 def check_against_oracle(args):
-    q, terms = oracle_coefficient_and_terms(args)
+    q = oracle_coefficient(args)
     wick.clear_cache()
-    got = multi_bracket(args)
-    assert got == PiValue.from_graded(q, exponent_of(args)), args
-    assert term_count() == terms, args
+    assert multi_bracket(args) == PiValue(q, exponent_of(args)), args
 
 
 def random_tuple_with_repeats(rng, max_slots):
@@ -244,20 +239,10 @@ def test_recursion_matches_complement_sum():
     [(3, 2, 2, 1)],  # a single argument: every slot its own block
     [(5,)],
     [(2,), (2,), (1,), (3,)],  # all single-part: one block of every slot
-    [(2,), (1, 1)],  # odd grading: zero, but its complements still count
+    [(2,), (1, 1)],  # odd grading: zero
     [(2, 2), (1,), (1, 1, 1)],
     [(1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
 ])
 def test_recursion_edge_cases(args):
     check_against_oracle(args)
 
-
-def test_term_count_counts_each_requested_tuple_once():
-    wick.clear_cache()
-    multi_bracket([(1, 1), (3,), (3,)])  # reaches ((1,), (3,)) inside
-    first = term_count()
-    multi_bracket([(3,), (1,)])  # computed inside, but not requested before
-    assert term_count() == first + 1
-    multi_bracket([(1,), (3,)])
-    multi_bracket([(3,), (1, 1), (3,)])
-    assert term_count() == first + 1
