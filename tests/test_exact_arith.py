@@ -80,7 +80,11 @@ EXACT_QS = [3, -5, Fraction(2, 7), Fraction(-9, 4), 0, Fraction(0)]
 
 @pytest.mark.parametrize("q", EXACT_QS + [1.5, -2.0, 0.0])
 @pytest.mark.parametrize("e", [-2, 0, 4, 3, -1, 2.0, "4", None])
-def test_constructor_validates_q_then_exponent(q, e):
+def test_from_graded_matches_generic_constructor(q, e):
+    # The name is kept from when PiValue had a graded fast-path constructor
+    # beside a generic one.  The one constructor PiValue(q, e) now validates
+    # q first, then the exponent, and must agree with the value built
+    # generically as the rational q times the unit monomial pi^e.
     try:
         value = PiValue(q, e)
     except (TypeError, ValueError) as exc:
@@ -98,6 +102,10 @@ def test_constructor_validates_q_then_exponent(q, e):
         assert value.monomial() == (q, e)
         assert type(value.q) is Fraction and value.coefficient(e) == q
         assert value.coefficient(e + 2) == 0
+        generic = PiValue(1, e) * q
+        assert value == generic and hash(value) == hash(generic)
+        assert str(value) == str(generic)
+        assert (value.q, value.e) == (generic.q, generic.e)
 
 
 def test_pivalue_drops_zero_coefficients():
