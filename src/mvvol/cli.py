@@ -18,13 +18,17 @@ the canonical stratum key, num and den as digit strings, and crc32 the
 binascii.crc32 of "key|num|den|pi_exp".  On load every key, field, checksum
 and the pi^(2g) grading are checked; a file that fails any check, or of
 another version, exits 2.  The checksum catches corruption and hand edits,
-not an edit that recomputes it.
+not an edit that recomputes it.  A run that computed new volumes merges
+them into the file under an exclusive lock on PATH.lock, so concurrent
+runs keep each other's entries; the file is checked again then, and one
+that fails exits 2 as well.
 """
 
 from __future__ import annotations
 
 import argparse
 import binascii
+import fcntl
 import json
 import os
 import sys
@@ -97,18 +101,15 @@ def _checksum(key: str, num: str, den: str, pi_exp: int) -> int:
     return binascii.crc32(f"{key}|{num}|{den}|{pi_exp}".encode())
 
 
-def load_cache(path: str) -> set[tuple[int, ...]]:
-    """Populate the volume memo from a cache file written by save_cache.
-
-    Returns the keys the file holds (none if it does not exist yet).
-    Anything save_cache would not have written raises CacheError, and then
-    the memo is left as it was: entries are published only once all pass.
-    """
+def _read_cache(path: str) -> dict[tuple[int, ...], PiValue]:
+    """The entries of a cache file written by save_cache, all checked and
+    none published; empty if the file does not exist yet.  Anything
+    save_cache would not have written raises CacheError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        return set()
+        return {}
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -146,31 +147,54 @@ def load_cache(path: str) -> set[tuple[int, ...]]:
                 f"cache entry {key!r} claims pi-exponent {exp}, expected {sum(degrees) + 2}"
             )
         loaded[degrees] = PiValue(Fraction(num, den), exp)
+    return loaded
+
+
+def load_cache(path: str) -> set[tuple[int, ...]]:
+    """Populate the volume memo from a cache file written by save_cache.
+
+    Returns the keys the file holds (none if it does not exist yet).
+    Anything save_cache would not have written raises CacheError, and then
+    the memo is left as it was: entries are published only once all pass.
+    """
+    loaded = _read_cache(path)
     volumes.volume_cache().update(loaded)
     return set(loaded)
 
 
 def save_cache(path: str) -> None:
-    """Write the volume memo to path atomically (temp file, then os.replace)."""
-    entries = {}
-    for degrees, value in volumes.volume_cache().items():
-        q, e = value.monomial()
-        key = ",".join(str(d) for d in degrees)
-        num, den = str(q.numerator), str(q.denominator)
-        entries[key] = {"num": num, "den": den, "pi_exp": e, "crc32": _checksum(key, num, den, e)}
-    payload = {"version": CACHE_VERSION, "entries": entries}
-    # write beside the target and rename over it, so a failed dump leaves
-    # the old file whole; plain open keeps the umask permissions
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    """Merge the volume memo into the cache file at path.
+
+    Under an exclusive fcntl lock on the sidecar PATH.lock, the file is read
+    again with load_cache's checks (CacheError if it fails them), without
+    publishing it to the memo, and the union of its entries and the memo's
+    is written atomically (temp file, then os.replace).  So concurrent runs
+    keep each other's new entries.
+    """
+    with open(f"{path}.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        merged = _read_cache(path)
+        merged.update(volumes.volume_cache())
+        entries = {}
+        for degrees, value in merged.items():
+            q, e = value.monomial()
+            key = ",".join(str(d) for d in degrees)
+            num, den = str(q.numerator), str(q.denominator)
+            entries[key] = {"num": num, "den": den, "pi_exp": e,
+                            "crc32": _checksum(key, num, den, e)}
+        payload = {"version": CACHE_VERSION, "entries": entries}
+        # write beside the target and rename over it, so a failed dump leaves
+        # the old file whole; plain open keeps the umask permissions
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
 # -- rendering ---------------------------------------------------------------
@@ -307,7 +331,7 @@ def _cmd_sv(args) -> int:
     angle = (args.angle,) if spec.angle else ()
     res = getattr(siegel_veech, spec.func)(target, *zeros, *angle, max_weight=args.max_weight)
 
-    exp = None if res.value.is_zero() else res.pi_exponent
+    exp = res.pi_exponent
     deviation = (
         "n/a"
         if res.predictor == 0 or res.value.is_zero()

@@ -83,8 +83,9 @@ class SVResult:
     multiple_components_possible: bool = False
 
     @property
-    def pi_exponent(self) -> int:
-        return self.value.monomial()[1]
+    def pi_exponent(self) -> Optional[int]:
+        """Exponent of pi in the value; None for an exact zero, which has none."""
+        return self.value.e if self.value else None
 
 
 class Kind(NamedTuple):

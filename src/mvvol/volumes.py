@@ -31,10 +31,12 @@ with q over the multisets of parts, the empty one included: a part w of a
 zero shares its block with the parts q that its children hand up.
 
 One and two zeros are the first layer.  At x^0, E is B, and
-L_k(n) = [y^n] exp(-k B(y)) takes O(k^2) Fraction operations
-(_exp_series).  A single zero, the minimal stratum H(k - 1) and the torus
-at k = 1, gives [y^(k+1)] exp(-k B) / (-k); two zeros share one block and
-give sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  In a principal
+L_k(n) = [y^n] exp(-k B(y)) takes O(k^2) integer operations on the
+scaled coefficients n! D_n L_k(n), where D_n, a product of odd primes,
+clears the Bernoulli denominators (_exp_series).  A single zero, the
+minimal stratum H(k - 1) and the torus at k = 1, gives
+[y^(k+1)] exp(-k B) / (-k); two zeros share one block and give
+sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  In a principal
 stratum L_2(1) = 0 makes every zero a leaf handing up u = 2, and the sum
 is the one bracket b(2, ..., 2).
 
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import groupby, product
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from . import bracket, exact_arith, f_expansion, wick
 from .combinatorics import Partition, partitions_of_size
@@ -171,32 +173,68 @@ class VolumeResult:
     elapsed: float
 
     @property
-    def pi_exponent(self) -> int:
-        return self.value.monomial()[1]
+    def pi_exponent(self) -> Optional[int]:
+        """Exponent of pi in the value; None for an exact zero, which has none."""
+        return self.value.e if self.value else None
 
 
 _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
+
+
+def _odd_prime_steps(top: int) -> list[int]:
+    """D_n / D_(n-1) for n = 0 .. top (1 at n = 0): the product of the odd
+    primes p with (p - 1) | n (_exp_series)."""
+    step = [1] * (top + 1)
+    composite = bytearray(top + 2)
+    for p in range(3, top + 2, 2):
+        if not composite[p]:
+            composite[p * p::2 * p] = bytes([1]) * len(range(p * p, top + 2, 2 * p))
+            for n in range(p - 1, top + 1, p - 1):
+                step[n] *= p
+    return step
 
 
 def _exp_series(k: int, top: int) -> list[Fraction]:
     """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)) (module docstring).
 
     E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
-    n E_n = -k * sum_j j B_j E_(n-j).
+    n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1).  The recurrence
+    runs on the integers A_n = n! D_n E_n, where D_n is the product over the
+    odd primes p of p^floor(n/(p-1)):
+
+        A_n = -k * sum_j (c_j D_n/D_(n-j)) * (n-1)!/(n-j)! * A_(n-j).
+
+    By von Staudt-Clausen, c_j = +-2 (2^(j-1) - 1) B_j has the squarefree
+    odd denominator prod {p : (p - 1) | j}, which divides D_n/D_(n-j), so
+    every term is an integer; a remainder raises ArithmeticError.  Each
+    coefficient becomes a Fraction once.
     """
-    # (j, j * B_j) for the nonzero B_j with j <= top; b(v) vanishes for
-    # even v by grading
-    slopes = [(v + 1, (v + 1) * b) for v in range(1, top)
-              if (b := bracket.coefficient((v,)))]
+    # (j, c_j) for the nonzero c_j with j <= top; b(v) vanishes for even v
+    # by grading, so j is even, and so is every n with E_n != 0
+    slopes = [(v + 1, c.numerator, c.denominator) for v in range(1, top)
+              if (c := (v + 1) * bracket.coefficient((v,)))]
+    step = _odd_prime_steps(top)
+    a = [1] + [0] * top
     e = [Fraction(1)] + [Fraction(0)] * top
+    scale = 1  # n! D_n
     for n in range(1, top + 1):
-        acc = Fraction(0)
-        for j, jb in slopes:
+        scale *= n * step[n]
+        if n % 2:
+            continue
+        # w = D_n/D_(n-j) * (n-1)!/(n-j)!, stepped up from j = 1
+        w, i, acc = step[n], 1, 0
+        for j, num, den in slopes:
             if j > n:
                 break
-            if e[n - j]:
-                acc += jb * e[n - j]
-        e[n] = acc * Fraction(-k, n)
+            while i < j:
+                w *= (n - i) * step[n - i]
+                i += 1
+            q, r = divmod(w, den)
+            if r:
+                raise ArithmeticError(f"c_{j} * D_{n}/D_{n - j} is not an integer")
+            acc += num * q * a[n - j]
+        a[n] = -k * acc
+        e[n] = Fraction(a[n], scale)
     return e
 
 
@@ -387,10 +425,12 @@ def principal_volume(g: int) -> PiValue:
 
 def clear_caches() -> None:
     """Drop every memo table in the pipeline: volumes, Wick sums, brackets,
-    capital_f expansions, and the Bernoulli and zeta values."""
+    capital_f expansions, the tangent numbers, and the Bernoulli and zeta
+    values."""
     _VOLUME_CACHE.clear()
     wick.clear_cache()
     bracket.clear_cache()
+    exact_arith._TANGENTS = ()
     for memo in (f_expansion._capital_f_items, exact_arith.bernoulli,
                  exact_arith.zeta_even, exact_arith.frak_z):
         memo.cache_clear()

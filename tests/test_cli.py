@@ -1,8 +1,10 @@
 import binascii
+import fcntl
 import itertools
 import json
 import os
 import sys
+import threading
 
 import pytest
 
@@ -377,11 +379,67 @@ def test_failed_save_keeps_old_cache(tmp_path, capsys, monkeypatch):
     with pytest.raises(RuntimeError):
         cli.save_cache(str(path))
     assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["c.json"]
+    # no temporary file is left; the lock sidecar stays by design
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "c.json.lock"]
     monkeypatch.undo()
     cli.save_cache(str(path))
     assert set(json.loads(path.read_text())["entries"]) == {"1,1", "2"}
-    assert os.listdir(tmp_path) == ["c.json"]
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "c.json.lock"]
+
+
+def test_save_merges_disjoint_memos(tmp_path, capsys):
+    # two runs with disjoint new entries, saving to one path: both stay
+    path = tmp_path / "c.json"
+    clear_caches()
+    volume(Stratum([2]))
+    cli.save_cache(str(path))
+    clear_caches()
+    volume(Stratum([1, 1]))
+    cli.save_cache(str(path))
+    assert (2,) not in volume_cache()  # the file's entries are not published
+    assert set(json.loads(path.read_text())["entries"]) == {"1,1", "2"}
+    clear_caches()
+    assert cli.load_cache(str(path)) == {(1, 1), (2,)}
+    code, out, _ = run(["volume", "4", "--cache", str(path)], capsys)
+    assert (code, out) == (0, "61/108864 * pi^6\n")
+    assert set(json.loads(path.read_text())["entries"]) == {"1,1", "2", "4"}
+
+
+def test_save_waits_for_the_lock_and_merges(tmp_path):
+    # a save that starts while another run holds the lock reads the file
+    # that run leaves, so neither run drops the other's entry
+    path = tmp_path / "c.json"
+    clear_caches()
+    volume(Stratum([1, 1]))
+    with open(f"{path}.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        saver = threading.Thread(target=cli.save_cache, args=(str(path),))
+        saver.start()
+        saver.join(0.3)
+        assert saver.is_alive()
+        assert not path.exists()
+        write_cache(path, {"2": cache_entry("2", "1", "120", 4)})
+    saver.join(60)
+    assert not saver.is_alive()
+    assert set(json.loads(path.read_text())["entries"]) == {"1,1", "2"}
+
+
+def test_save_rechecks_the_file(tmp_path, capsys, monkeypatch):
+    # a file that turns bad between load and save exits 2 and is kept
+    path = tmp_path / "c.json"
+    clear_caches()
+    load = cli.load_cache
+
+    def load_then_tamper(p):
+        keys = load(p)
+        write_cache(path, {"2": cache_entry("2", "1", "120", 6)})
+        return keys
+
+    monkeypatch.setattr(cli, "load_cache", load_then_tamper)
+    code, out, err = run(["volume", "1,1", "--cache", str(path)], capsys)
+    assert code == 2
+    assert "pi-exponent" in err
+    assert json.loads(path.read_text())["entries"]["2"]["pi_exp"] == 6
 
 
 def test_cache_keys_sorted(tmp_path, capsys):

@@ -1,11 +1,15 @@
 import math
 import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from mvvol import exact_arith
 from mvvol.exact_arith import PiValue, bernoulli, frak_z, zeta_even
+from mvvol.volumes import clear_caches
 
 
 def test_bernoulli_known_values():
@@ -29,6 +33,77 @@ def test_bernoulli_defining_recurrence():
     for n in range(1, 25):
         acc = sum(math.comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
         assert acc == 0
+
+
+def oracle_bernoulli(top):
+    # B_0 .. B_top by the Fraction recursion sum_{k<=n} C(n+1, k) B_k = 0
+    b = [Fraction(1)]
+    for n in range(1, top + 1):
+        if n > 1 and n % 2 == 1:
+            b.append(Fraction(0))
+            continue
+        acc = Fraction(0)
+        for k in range(n):
+            acc += math.comb(n + 1, k) * b[k]
+        b.append(-acc / (n + 1))
+    return b
+
+
+ORACLE_BERNOULLI = oracle_bernoulli(300)
+
+
+def test_bernoulli_matches_fraction_recursion():
+    clear_caches()
+    for n, expected in enumerate(ORACLE_BERNOULLI):
+        value = bernoulli(n)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator), n
+
+
+def test_tangent_numbers():
+    # OEIS A000182
+    assert exact_arith._tangent_numbers(7) == (0, 1, 2, 16, 272, 7936, 353792, 22368256)
+    assert exact_arith._tangent_numbers(1) == (0, 1)
+
+
+@pytest.mark.parametrize("order", [(4, 8, 16, 40, 300, 2), (300, 4, 151, 2)])
+def test_tangent_table_growth_keeps_values(order):
+    # small then large grows the table by doubling; large then small reads
+    # a prefix of it; either way each B_n equals the oracle
+    clear_caches()
+    assert exact_arith._TANGENTS == ()
+    for n in order:
+        bernoulli.cache_clear()  # force a read of the tangent table
+        assert bernoulli(n) == ORACLE_BERNOULLI[n], n
+        assert len(exact_arith._TANGENTS) > n // 2
+    table = exact_arith._TANGENTS
+    assert table == exact_arith._tangent_numbers(len(table) - 1)
+
+
+def test_bernoulli_from_concurrent_threads():
+    # more threads than cores, switching often, each growing the shared
+    # tangent table to a different size
+    clear_caches()
+    wanted = [[300, 2, 100], [150, 298, 4], [40, 260, 122], [200, 6, 300]]
+    results = [None] * len(wanted)
+    barrier = threading.Barrier(len(wanted))
+
+    def work(i):
+        barrier.wait()
+        results[i] = [bernoulli(n) for n in wanted[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(wanted))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[ORACLE_BERNOULLI[n] for n in ns] for ns in wanted]
 
 
 def test_bernoulli_rejects_negative():

@@ -206,6 +206,14 @@ def test_pi_exponent_classes():
     assert all(r.pi_exponent == -2 for r in over_pi2)
 
 
+def test_pi_exponent_of_exact_zero_is_none():
+    # a zero has no pi-exponent; the property says so instead of raising
+    for r in (handle_constant(Stratum([1, 1, 1, 1]), 1), handle_constant(Stratum([1, 1]), 2),
+              loop_constant(Stratum([1, 1]), 1)):
+        assert r.value.is_zero()
+        assert r.pi_exponent is None
+
+
 def test_multiple_component_flag():
     assert sc_constant(Stratum([2, 2]), 1, 2).multiple_components_possible
     assert loop_constant(Stratum([4]), 1).multiple_components_possible

@@ -161,6 +161,47 @@ def support_sum(k):
     return PiValue(total / (math.factorial(k) * k), k + 1)
 
 
+def oracle_exp_series(k, top):
+    # L_k(0..top) by the Fraction recurrence n E_n = -k sum_j j b(j-1) E_(n-j)
+    slopes = [(v + 1, (v + 1) * b) for v in range(1, top)
+              if (b := bracket.coefficient((v,)))]
+    e = [Fraction(1)] + [Fraction(0)] * top
+    for n in range(1, top + 1):
+        acc = Fraction(0)
+        for j, jb in slopes:
+            if j > n:
+                break
+            acc += jb * e[n - j]
+        e[n] = acc * Fraction(-k, n)
+    return e
+
+
+def test_exp_series_matches_fraction_recurrence():
+    # the tops the callers use: k + 1 for a single zero, k - 1 in the
+    # hypertree series
+    clear_caches()
+    for k in [*range(1, 62), 151, 301]:
+        for top in (k - 1, k + 1):
+            series = volumes._exp_series(k, top)
+            assert all(type(c) is Fraction for c in series)
+            assert series == oracle_exp_series(k, top), (k, top)
+
+
+def test_exp_series_checks_its_integer_division(monkeypatch):
+    # without the odd-prime scaling D_n, c_2 = 2 b(1) = 1/3 no longer
+    # divides out, and the series refuses rather than rounding
+    monkeypatch.setattr(volumes, "_odd_prime_steps", lambda top: [1] * (top + 1))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        volumes._exp_series(5, 6)
+
+
+def test_volume_result_pi_exponent_of_zero_is_none():
+    st = Stratum([2])
+    res = VolumeResult(st, PiValue.zero(), prediction(st), Decimal(-1), 0.0)
+    assert res.pi_exponent is None
+    assert volume(st).pi_exponent == 4
+
+
 def test_single_degree_series_matches_support_sum():
     # k = 1 is the torus; even k vanish by the grading
     clear_caches()
@@ -272,9 +313,11 @@ def test_clear_caches_empties_every_memo():
     multi_bracket([(1, 1), (2,)])
     assert all(m.cache_info().currsize > 0 for m in memos)
     assert all(tables)
+    assert exact_arith._TANGENTS
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
     assert [len(t) for t in tables] == [0, 0, 0, 0]
+    assert exact_arith._TANGENTS == ()
 
 
 def test_relative_error_frozen():
@@ -383,6 +426,30 @@ def test_minimal_frozen_value():
         187149428799289325632044138166475070083250223965058763267487763965014474566294008242228394573140423331247,
         1663333788907745280468576606997891693609036822127970772927147722630983546214510361726582748659015149944832000000000000000000000000,
         48)
+
+
+def test_minimal_frozen_value_genus_80():
+    # H(158), g = 80, as computed by the Fraction series before the
+    # one-zero layer ran on integers
+    value = volume(Stratum([158]), max_weight=159).value
+    assert str(value) == (
+        "977998772536462075442110387762995037223982768834359167291759818957416519"
+        "858933213288345447707774962842698071352779479625017597875538919947077163"
+        "345079603938753306364652162179827927053063090180576087841893422323380079"
+        "293640442285799146262027526685265621747758837447040343616737010778757466"
+        "667175573678432221470917166944359663880989998522294400423781408567879601"
+        "635943513942537478303668892187797051181882857014238311094574794307612158"
+        "876806482905223"
+        "/"
+        "137460263921152438340984510852653335292164432160662252419633120648007551"
+        "429867489613188711508409872846487712694995570397904274218805217236011779"
+        "791847372000370683615594650379814864385958126329379255759525079968332464"
+        "825210526643628459362550217797182428001178083709311300097941740987108542"
+        "284444315122627647190529529366277047906368626652045128903289274746197190"
+        "984436528555548299299410834005670894236246035320500349817166394693333105"
+        "067111219200000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000"
+        " * pi^160")
 
 
 def test_all_twos_frozen_value():
