@@ -3,12 +3,18 @@ r"""Command line front end.
 Verbs:
   volume STRATUM     exact volume of one stratum
   principal G        closed-form principal-stratum volume at genus G
+                     (--verify: compare with the general pipeline)
   table              volumes/predictions for all strata up to a total degree
+                     (--max-size)
   sv STRATUM         Siegel-Veech style constants from volume ratios
+                     (--kind, --zeros, --angle)
   selftest           run the built-in oracle suite
 
-STRATUM is comma-separated nonnegative zero degrees, optionally wrapped as
-H(...), e.g. "2,1,1" or "H(3,1)".  Exit codes: 0 success, 2 invalid input,
+Every verb but selftest takes --format exact|decimal|json, --digits,
+--max-weight and --cache.  selftest takes no options and opens no cache,
+whatever MV_CACHE says.  STRATUM is comma-separated nonnegative zero
+degrees, optionally wrapped as H(...), e.g. "2,1,1" or "H(3,1)".  Exit
+codes: 0 success, 1 principal --verify mismatch, 2 invalid input,
 3 infeasible size (raise --max-weight to force), 4 selftest failure.
 
 A JSON volume cache can be kept across runs with --cache PATH; the
@@ -75,22 +81,13 @@ def parse_stratum(text: str) -> Stratum:
 # -- cache file ------------------------------------------------------------
 
 
-def _cache_path(flag_value: Optional[str]) -> Optional[str]:
-    return os.environ.get("MV_CACHE") or flag_value
-
-
 def _key_degrees(key: str) -> tuple[int, ...]:
-    """Degrees of a canonical cache key, as Stratum.key spells them:
-    positive, non-increasing, with an even sum.  ValueError otherwise."""
-    degrees = tuple(map(int, key.split(","))) if key else ()
-    top = degrees[0] if degrees else 0
-    for d in degrees:
-        if not 0 < d <= top:
-            raise ValueError(f"degrees must be positive and non-increasing: {key!r}")
-        top = d
-    if sum(degrees) % 2 or ",".join(map(str, degrees)) != key:
+    """Degrees of a cache key spelled as Stratum.key spells it; ValueError
+    otherwise."""
+    st = Stratum(map(int, key.split(",")) if key else ())
+    if st.key != key:
         raise ValueError(f"not a canonical stratum key: {key!r}")
-    return degrees
+    return st.degrees
 
 
 def _is_digits(text: object) -> bool:
@@ -177,11 +174,9 @@ def save_cache(path: str) -> None:
         merged.update(volumes.volume_cache())
         entries = {}
         for degrees, value in merged.items():
-            q, e = value.monomial()
             key = ",".join(str(d) for d in degrees)
-            num, den = str(q.numerator), str(q.denominator)
-            entries[key] = {"num": num, "den": den, "pi_exp": e,
-                            "crc32": _checksum(key, num, den, e)}
+            fields = _exact_fields(value)
+            entries[key] = dict(fields, crc32=_checksum(key, **fields))
         payload = {"version": CACHE_VERSION, "entries": entries}
         # write beside the target and rename over it, so a failed dump leaves
         # the old file whole; plain open keeps the umask permissions
@@ -200,29 +195,20 @@ def save_cache(path: str) -> None:
 # -- rendering ---------------------------------------------------------------
 
 
-def _decimal_str(value: PiValue, digits: int) -> str:
-    return str(value.to_decimal(digits))
+def _exact_fields(value: PiValue) -> dict:
+    """The value q * pi^e as JSON output and the cache file spell it."""
+    q, e = value.monomial()
+    return {"num": str(q.numerator), "den": str(q.denominator), "pi_exp": e}
+
+
+def _shown(value: PiValue, args) -> str:
+    """The value as --format exact or decimal renders it."""
+    return str(value.to_decimal(args.digits)) if args.format == "decimal" else str(value)
 
 
 def _volume_record(res) -> dict:
-    q, e = res.value.monomial()
-    return {
-        "stratum": res.stratum.key,
-        "num": str(q.numerator),
-        "den": str(q.denominator),
-        "pi_exp": e,
-        "prediction": str(res.prediction),
-        "relative_error": str(res.relative_error),
-    }
-
-
-def _print_volume(res, fmt: str, digits: int) -> None:
-    if fmt == "exact":
-        print(res.value)
-    elif fmt == "decimal":
-        print(_decimal_str(res.value, digits))
-    else:
-        print(json.dumps(_volume_record(res), sort_keys=True))
+    return {"stratum": res.stratum.key, **_exact_fields(res.value),
+            "prediction": str(res.prediction), "relative_error": str(res.relative_error)}
 
 
 # -- verbs -------------------------------------------------------------------
@@ -231,7 +217,10 @@ def _print_volume(res, fmt: str, digits: int) -> None:
 def _cmd_volume(args) -> int:
     st = parse_stratum(args.stratum)
     res = volume(st, max_weight=args.max_weight)
-    _print_volume(res, args.format, args.digits)
+    if args.format == "json":
+        print(json.dumps(_volume_record(res), sort_keys=True))
+    else:
+        print(_shown(res.value, args))
     return 0
 
 
@@ -243,27 +232,16 @@ def _cmd_principal(args) -> int:
     if args.verify:
         general = volume(Stratum([1] * (2 * args.genus - 2)), max_weight=args.max_weight).value
         matches = general == val
-    if args.format == "exact":
-        print(val)
-    elif args.format == "decimal":
-        print(_decimal_str(val, args.digits))
-    else:
-        q, e = val.monomial()
-        record = {
-            "genus": args.genus,
-            "num": str(q.numerator),
-            "den": str(q.denominator),
-            "pi_exp": e,
-        }
+    if args.format == "json":
+        record = {"genus": args.genus, **_exact_fields(val)}
         if matches is not None:
             record["matches_general_pipeline"] = matches
         print(json.dumps(record, sort_keys=True))
-        return 0 if matches in (None, True) else 1
-    if matches is not None:
-        print(f"matches general pipeline: {'yes' if matches else 'no'}")
-        if not matches:
-            return 1
-    return 0
+    else:
+        print(_shown(val, args))
+        if matches is not None:
+            print(f"matches general pipeline: {'yes' if matches else 'no'}")
+    return 0 if matches in (None, True) else 1
 
 
 def _cmd_table(args) -> int:
@@ -279,14 +257,8 @@ def _cmd_table(args) -> int:
     for total, genus_rows in rows:
         g = total // 2 + 1
         for res in genus_rows:
-            if args.format == "decimal":
-                shown = _decimal_str(res.value, args.digits)
-            else:
-                shown = str(res.value)
-            print(
-                f"H({','.join(map(str, res.stratum.degrees))})\t{shown}\t"
-                f"prediction {res.prediction}\trel.err {res.relative_error}"
-            )
+            print(f"{res.stratum!r}\t{_shown(res.value, args)}\t"
+                  f"prediction {res.prediction}\trel.err {res.relative_error}")
         smallest = min(genus_rows, key=lambda r: abs(r.relative_error))
         largest = max(genus_rows, key=lambda r: abs(r.relative_error))
         expected = (
@@ -353,8 +325,7 @@ def _cmd_sv(args) -> int:
             record["angle"] = res.angle
         print(json.dumps(record, sort_keys=True))
         return 0
-    shown = _decimal_str(res.value, args.digits) if args.format == "decimal" else str(res.value)
-    print(f"value: {shown}")
+    print(f"value: {_shown(res.value, args)}")
     print(f"pi exponent: {'none (zero value)' if exp is None else exp}")
     print(f"predictor: {res.predictor}")
     print(f"relative deviation: {deviation}")
@@ -364,7 +335,7 @@ def _cmd_sv(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok, lines = run_selftest(max_weight=args.max_weight)
+    ok, lines = run_selftest()
     for line in lines:
         print(line)
     print("selftest: " + ("all criteria passed" if ok else "FAILURES present"))
@@ -433,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sv.set_defaults(func=_cmd_sv)
 
     p_self = sub.add_parser("selftest", help="run the built-in oracle suite")
-    common(p_self)
     p_self.set_defaults(func=_cmd_selftest)
 
     return parser
@@ -450,7 +420,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cache_path = _cache_path(args.cache)
+    # selftest clears the memo and checks its own strata: no cache is opened
+    cache_path = None if args.verb == "selftest" else os.environ.get("MV_CACHE") or args.cache
     try:
         loaded = load_cache(cache_path) if cache_path else set()
         code = args.func(args)
@@ -461,10 +432,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InfeasibleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidStratumError, CacheError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InvalidStratumError and CacheError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

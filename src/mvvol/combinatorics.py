@@ -90,27 +90,13 @@ def partitions_of_size(n: int) -> list[Partition]:
     return [Partition(t) for t in _partitions(n, n if n else 1)]
 
 
-def _partitions_with_length(n: int, k: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into exactly k parts <= max_part, largest first part first."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    # the other k - 1 parts need at least 1 each and at most `first` each
-    for first in range(min(n - k + 1, max_part), -(-n // k) - 1, -1):
-        for rest in _partitions_with_length(n - first, k - 1, first):
-            yield (first,) + rest
-
-
 def partitions_of_weight(w: int) -> list[Partition]:
-    """All partitions with size + length = w (so w >= 2), shortest first."""
+    """All partitions with size + length = w (so w >= 2), shortest first:
+    the partitions of w into parts >= 2, with 1 taken from each part."""
     if w < 2:
         raise ValueError("weight must be at least 2")
-    return [
-        Partition(t)
-        for ell in range(1, w // 2 + 1)
-        for t in _partitions_with_length(w - ell, ell, w - ell)
-    ]
+    return sorted((Partition(p - 1 for p in mu) for mu in partitions_of_size(w) if mu[-1] >= 2),
+                  key=len)
 
 
 def nonneg_compositions(n: int, k: int) -> list[tuple[int, ...]]:

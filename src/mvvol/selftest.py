@@ -32,7 +32,6 @@ from .siegel_veech import (
     sc_constant,
 )
 from .volumes import (
-    DEFAULT_MAX_WEIGHT,
     Stratum,
     clear_caches,
     principal_volume,
@@ -47,47 +46,47 @@ def _mono(num: int, den: int, exp: int) -> PiValue:
     return PiValue(Fraction(num, den), exp)
 
 
-def _check_minimal(max_weight: int) -> tuple[bool, str]:
+def _check_minimal() -> tuple[bool, str]:
     clear_caches()
     t0 = time.perf_counter()
-    res = volume(Stratum([2]), max_weight=max_weight)
+    res = volume(Stratum([2]))
     fast = time.perf_counter() - t0 < 1.0
     ok = res.value == _mono(1, 120, 4) and fast
     return ok, f"volume(H(2)) = {res.value}"
 
 
-def _check_principal_two_ways(max_weight: int) -> tuple[bool, str]:
+def _check_principal_two_ways() -> tuple[bool, str]:
     t0 = time.perf_counter()
-    general = volume(Stratum([1, 1]), max_weight=max_weight).value
+    general = volume(Stratum([1, 1])).value
     closed = principal_volume(2)
     fast = time.perf_counter() - t0 < 1.0
     ok = general == closed == _mono(1, 135, 4) and fast
     return ok, f"volume(H(1,1)) = {general} by both pipelines"
 
 
-def _check_principal_equality(max_weight: int) -> tuple[bool, str]:
+def _check_principal_equality() -> tuple[bool, str]:
     t0 = time.perf_counter()
     results = []
     for g in (3, 4):
-        general = volume(Stratum([1] * (2 * g - 2)), max_weight=max_weight).value
+        general = volume(Stratum([1] * (2 * g - 2))).value
         results.append(general == principal_volume(g))
     within = time.perf_counter() - t0 < 600.0
     return all(results) and within, "closed form matches general pipeline at g=3,4"
 
 
-def _check_grading(max_weight: int) -> tuple[bool, str]:
+def _check_grading() -> tuple[bool, str]:
     ok = True
     for total in (2, 4, 6):
         for m in partitions_of_size(total):
-            val = volume(Stratum(m), max_weight=max_weight).value
+            val = volume(Stratum(m)).value
             q, e = val.monomial()
             ok = ok and q > 0 and e == total + 2
     return ok, "each volume with 2g-2 <= 6 is a positive rational times pi^(2g)"
 
 
-def _check_error_ordering(max_weight: int) -> tuple[bool, str]:
-    principal = volume(Stratum([1, 1, 1, 1]), max_weight=max_weight)
-    minimal = volume(Stratum([4]), max_weight=max_weight)
+def _check_error_ordering() -> tuple[bool, str]:
+    principal = volume(Stratum([1, 1, 1, 1]))
+    minimal = volume(Stratum([4]))
     ok = abs(principal.relative_error) < abs(minimal.relative_error)
     return ok, (
         f"at g=3: |rel.err|(H(1,1,1,1)) = {abs(principal.relative_error)} < "
@@ -95,58 +94,56 @@ def _check_error_ordering(max_weight: int) -> tuple[bool, str]:
     )
 
 
-def _check_minimal_trend(max_weight: int) -> tuple[bool, str]:
+def _check_minimal_trend() -> tuple[bool, str]:
     ratios = []
     for g in (2, 3, 4):
-        val = volume(Stratum([2 * g - 2]), max_weight=max_weight).value
+        val = volume(Stratum([2 * g - 2])).value
         ratios.append(float(val.to_decimal(30)) * (2 * g - 1) / 4)
     ok = all(0.55 < r < 1.0 for r in ratios) and ratios[0] < ratios[1] < ratios[2]
     shown = ", ".join(f"g={g}: {r:.4f}" for g, r in zip((2, 3, 4), ratios))
     return ok, f"volume(H(2g-2))*(2g-1)/4 increasing in (0.55, 1.0): {shown}"
 
 
-def _check_sv_exactness(max_weight: int) -> tuple[bool, str]:
-    kw = {"max_weight": max_weight}
-    ok = sc_constant(Stratum([1, 1]), 1, 2, **kw).value == _mono(27, 8, 0)
-    ok = ok and sc2_principal(2, **kw).value == _mono(5, 8, 0)
-    ok = ok and sc_constant(Stratum([0, 2]), 1, 2, **kw).value == _mono(3, 1, 0)
-    ok = ok and sc_constant(Stratum([0, 0]), 1, 2, **kw).value == _mono(1, 1, 0)
-    ok = ok and loop_per_angle(Stratum([2]), 1, 1, **kw).value == _mono(20, 1, -2)
-    ok = ok and cyl_constant(Stratum([1, 1]), 1, 2, **kw).value == _mono(15, 1, -2)
-    ok = ok and handle_constant(Stratum([2]), 1, **kw).value == _mono(10, 1, -2)
-    ok = ok and cyl1_total(Stratum([1, 1]), **kw).value == _mono(15, 1, -2)
-    ok = ok and cyl1_total(Stratum([2]), **kw).value == _mono(10, 1, -2)
-    ok = ok and area1_constant(Stratum([1, 1]), **kw).value == _mono(15, 4, -2)
-    ok = ok and area1_constant(Stratum([2]), **kw).value == _mono(10, 3, -2)
+def _check_sv_exactness() -> tuple[bool, str]:
+    ok = sc_constant(Stratum([1, 1]), 1, 2).value == _mono(27, 8, 0)
+    ok = ok and sc2_principal(2).value == _mono(5, 8, 0)
+    ok = ok and sc_constant(Stratum([0, 2]), 1, 2).value == _mono(3, 1, 0)
+    ok = ok and sc_constant(Stratum([0, 0]), 1, 2).value == _mono(1, 1, 0)
+    ok = ok and loop_per_angle(Stratum([2]), 1, 1).value == _mono(20, 1, -2)
+    ok = ok and cyl_constant(Stratum([1, 1]), 1, 2).value == _mono(15, 1, -2)
+    ok = ok and handle_constant(Stratum([2]), 1).value == _mono(10, 1, -2)
+    ok = ok and cyl1_total(Stratum([1, 1])).value == _mono(15, 1, -2)
+    ok = ok and cyl1_total(Stratum([2])).value == _mono(10, 1, -2)
+    ok = ok and area1_constant(Stratum([1, 1])).value == _mono(15, 4, -2)
+    ok = ok and area1_constant(Stratum([2])).value == _mono(10, 3, -2)
 
     rational = [
-        sc_constant(Stratum([1, 1]), 1, 2, **kw),
-        sc_constant(Stratum([2, 1, 1]), 1, 2, **kw),
-        sc_constant(Stratum([2, 2]), 1, 2, **kw),
-        sc2_principal(2, **kw),
-        sc2_principal(3, **kw),
+        sc_constant(Stratum([1, 1]), 1, 2),
+        sc_constant(Stratum([2, 1, 1]), 1, 2),
+        sc_constant(Stratum([2, 2]), 1, 2),
+        sc2_principal(2),
+        sc2_principal(3),
     ]
     over_pi2 = [
-        loop_per_angle(Stratum([3, 1]), 1, 1, **kw),
-        loop_per_angle(Stratum([3, 1]), 1, 2, **kw),
-        loop_constant(Stratum([4]), 1, **kw),
-        loop_constant(Stratum([3, 1]), 1, **kw),
-        cyl_constant(Stratum([2, 2]), 1, 2, **kw),
-        cyl_constant(Stratum([3, 1]), 1, 2, **kw),
-        handle_constant(Stratum([4]), 1, **kw),
-        handle_constant(Stratum([3, 1]), 1, **kw),
-        cyl1_total(Stratum([2, 2]), **kw),
-        cyl1_total(Stratum([1, 1, 1, 1]), **kw),
-        area1_constant(Stratum([3, 1]), **kw),
-        area1_constant(Stratum([2, 1, 1]), **kw),
+        loop_per_angle(Stratum([3, 1]), 1, 1),
+        loop_per_angle(Stratum([3, 1]), 1, 2),
+        loop_constant(Stratum([4]), 1),
+        loop_constant(Stratum([3, 1]), 1),
+        cyl_constant(Stratum([2, 2]), 1, 2),
+        cyl_constant(Stratum([3, 1]), 1, 2),
+        handle_constant(Stratum([4]), 1),
+        handle_constant(Stratum([3, 1]), 1),
+        cyl1_total(Stratum([2, 2])),
+        cyl1_total(Stratum([1, 1, 1, 1])),
+        area1_constant(Stratum([3, 1])),
+        area1_constant(Stratum([2, 1, 1])),
     ]
     ok = ok and all(r.pi_exponent == 0 for r in rational)
     ok = ok and all(r.value.is_zero() or r.pi_exponent == -2 for r in over_pi2)
     return ok, "sc(H(1,1)) = 27/8, sc2(g=2) = 5/8; exponent classes 0 and -2 as required"
 
 
-def _check_decomposition(max_weight: int) -> tuple[bool, str]:
-    kw = {"max_weight": max_weight}
+def _check_decomposition() -> tuple[bool, str]:
     ok = True
     for total in (2, 4):
         for m in partitions_of_size(total):
@@ -155,9 +152,9 @@ def _check_decomposition(max_weight: int) -> tuple[bool, str]:
             acc = PiValue.zero()
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    acc += cyl_constant(st, i, j, **kw).value
-                acc += handle_constant(st, i, **kw).value
-            ok = ok and acc == cyl1_total(st, **kw).value
+                    acc += cyl_constant(st, i, j).value
+                acc += handle_constant(st, i).value
+            ok = ok and acc == cyl1_total(st).value
     return ok, "cyl1_total = sum of cyl pairs + handles, bit-exact, for 2g-2 <= 4"
 
 
@@ -189,7 +186,7 @@ def _joined(alpha: bytearray, rho: bytearray) -> bool:
         reach = nxt
 
 
-def _check_cross_consistency(max_weight: int) -> tuple[bool, str]:
+def _check_cross_consistency() -> tuple[bool, str]:
     ok = True
     for s in range(1, 9):
         for lam in partitions_of_size(s):
@@ -211,7 +208,7 @@ def _check_cross_consistency(max_weight: int) -> tuple[bool, str]:
     return ok, "single-part Wick merge <= 8 and complement enumeration vs filter N <= 8"
 
 
-def _check_identities(max_weight: int) -> tuple[bool, str]:
+def _check_identities() -> tuple[bool, str]:
     ok = True
     for n in range(1, 10):
         parts = partitions_of_size(n)
@@ -231,7 +228,7 @@ def _check_identities(max_weight: int) -> tuple[bool, str]:
     return ok, "weighted composition identity k <= n <= 9; Bell counts 1..6"
 
 
-def _check_tripwire(max_weight: int) -> tuple[bool, str]:
+def _check_tripwire() -> tuple[bool, str]:
     ok = True
     for s in range(2, 11):
         for lam in partitions_of_size(s):
@@ -243,25 +240,25 @@ def _check_tripwire(max_weight: int) -> tuple[bool, str]:
     return ok, "correction term stays below 2^40 (|m|-1)! for parts >= 2, |m| <= 10"
 
 
-def _render_bundle(max_weight: int) -> str:
+def _render_bundle() -> str:
     lines = []
     for total in (2, 4):
         for m in partitions_of_size(total):
-            res = volume(Stratum(m), max_weight=max_weight)
+            res = volume(Stratum(m))
             lines.append(f"{res.stratum} {res.value} {res.relative_error}")
-    lines.append(str(sc_constant(Stratum([1, 1]), 1, 2, max_weight=max_weight).value))
-    lines.append(str(cyl1_total(Stratum([2, 2]), max_weight=max_weight).value))
+    lines.append(str(sc_constant(Stratum([1, 1]), 1, 2).value))
+    lines.append(str(cyl1_total(Stratum([2, 2])).value))
     return "\n".join(lines)
 
 
-def _check_determinism(max_weight: int) -> tuple[bool, str]:
+def _check_determinism() -> tuple[bool, str]:
     clear_caches()
-    cold = _render_bundle(max_weight)
-    warm = _render_bundle(max_weight)
+    cold = _render_bundle()
+    warm = _render_bundle()
     return cold == warm, "volume and SV reports byte-identical cold and warm"
 
 
-CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
+CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("minimal stratum volume", _check_minimal),
     ("principal volume via two pipelines", _check_principal_two_ways),
     ("principal equality at g=3,4", _check_principal_equality),
@@ -277,12 +274,12 @@ CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
 ]
 
 
-def run_selftest(max_weight: int = DEFAULT_MAX_WEIGHT) -> tuple[bool, list[str]]:
+def run_selftest() -> tuple[bool, list[str]]:
     """Run all checks; returns (all_passed, one report line per check)."""
     lines = []
     all_ok = True
     for idx, (title, fn) in enumerate(CHECKS, 1):
-        ok, detail = fn(max_weight)
+        ok, detail = fn()
         all_ok = all_ok and ok
         lines.append(f"{'PASS' if ok else 'FAIL'} criterion {idx:2d} ({title}): {detail}")
     return all_ok, lines

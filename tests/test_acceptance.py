@@ -10,7 +10,7 @@ import pytest
 
 from mvvol.combinatorics import set_partitions
 from mvvol.selftest import CHECKS, _closure_table, _joined, run_selftest
-from mvvol.volumes import DEFAULT_MAX_WEIGHT, clear_caches
+from mvvol.volumes import clear_caches
 
 IDS = [
     "01-minimal-stratum-volume",
@@ -33,7 +33,7 @@ IDS = [
     ids=IDS,
 )
 def test_criterion(index, title, check):
-    ok, detail = check(DEFAULT_MAX_WEIGHT)
+    ok, detail = check()
     print(f"{'PASS' if ok else 'FAIL'} criterion {index:2d} ({title}): {detail}")
     assert ok, f"criterion {index} ({title}): {detail}"
 

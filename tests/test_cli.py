@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ import mvvol.cli as cli
 from mvvol import siegel_veech
 from mvvol.cli import main, parse_stratum
 from mvvol.combinatorics import partitions_of_size
+from mvvol.exact_arith import PiValue
 from mvvol.volumes import InvalidStratumError, Stratum, clear_caches, volume, volume_cache
 
 
@@ -95,10 +97,13 @@ def test_exit_code_bad_token(capsys):
 
 
 def test_removed_flags_rejected(capsys):
-    # --threads is gone from every verb; --verify belongs to principal only
+    # --threads is gone from every verb; --verify belongs to principal only;
+    # selftest takes no options at all
     for argv in (["volume", "2", "--threads", "4"], ["volume", "2", "--verify"],
                  ["table", "--verify"], ["sv", "1,1", "--kind", "cyl1", "--verify"],
-                 ["selftest", "--threads", "1"], ["principal", "2", "--threads", "1"]):
+                 ["selftest", "--threads", "1"], ["principal", "2", "--threads", "1"],
+                 ["selftest", "--format", "json"], ["selftest", "--digits", "3"],
+                 ["selftest", "--cache", "X"], ["selftest", "--max-weight", "20"]):
         code, out, _ = run(argv, capsys)
         assert code == 2, argv
         assert out == ""
@@ -131,6 +136,26 @@ def test_principal_verify_genus_eight(capsys):
     code, out, _ = run(["principal", "8", "--verify", "--max-weight", "30"], capsys)
     assert code == 0
     assert out.splitlines()[1:] == ["matches general pipeline: yes"]
+
+
+@pytest.mark.parametrize("fmt, shown", [
+    ("exact", "1/7 * pi^4"),
+    ("decimal", "13.915584433428919605205761812672158749961083667526"),
+], ids=["exact", "decimal"])
+def test_principal_verify_mismatch_text(fmt, shown, capsys, monkeypatch):
+    # a closed form that disagrees with the general pipeline exits 1
+    monkeypatch.setattr(cli, "principal_volume", lambda g: PiValue(Fraction(1, 7), 2 * g))
+    code, out, _ = run(["principal", "2", "--verify", "--format", fmt], capsys)
+    assert code == 1
+    assert out.splitlines() == [shown, "matches general pipeline: no"]
+
+
+def test_principal_verify_mismatch_json(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "principal_volume", lambda g: PiValue(Fraction(1, 7), 2 * g))
+    code, out, _ = run(["principal", "2", "--verify", "--format", "json"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"genus": 2, "num": "1", "den": "7", "pi_exp": 4,
+                               "matches_general_pipeline": False}
 
 
 def test_principal_bad_genus(capsys):
@@ -633,7 +658,7 @@ def test_env_var_overrides_cache_flag(tmp_path, capsys, monkeypatch):
 def test_selftest_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_selftest",
-        lambda max_weight: (False, ["FAIL criterion  1 (stub): boom"]),
+        lambda: (False, ["FAIL criterion  1 (stub): boom"]),
     )
     code, out, _ = run(["selftest"], capsys)
     assert code == 4
@@ -643,11 +668,30 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
 def test_selftest_pass_output_shape(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_selftest",
-        lambda max_weight: (True, ["PASS criterion  1 (stub): fine"]),
+        lambda: (True, ["PASS criterion  1 (stub): fine"]),
     )
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "selftest: all criteria passed"
+
+
+def test_selftest_opens_no_cache(tmp_path, capsys, monkeypatch):
+    # a corrupt MV_CACHE neither stops selftest nor is rewritten by it
+    monkeypatch.setattr(cli, "run_selftest", lambda: (True, ["PASS criterion  1 (stub): fine"]))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    before = bad.read_bytes()
+    monkeypatch.setenv("MV_CACHE", str(bad))
+    code, out, err = run(["selftest"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "selftest: all criteria passed"
+    assert bad.read_bytes() == before
+    # nor does it create a cache where none exists, though it leaves volumes in the memo
+    volume(Stratum([2]))
+    missing = tmp_path / "missing.json"
+    monkeypatch.setenv("MV_CACHE", str(missing))
+    assert run(["selftest"], capsys)[0] == 0
+    assert sorted(os.listdir(tmp_path)) == ["bad.json"]
 
 
 # -- parser reuse -------------------------------------------------------------------

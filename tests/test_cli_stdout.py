@@ -1,9 +1,11 @@
-"""CLI stdout frozen as text fixtures.
+"""CLI stdout and cache bytes frozen as fixtures.
 
-Each fixture in tests/fixtures/ is a transcript: per invocation, a
-"$ mvvol ..." line, its stdout and its exit code.  Values are exact, so
-every byte of these transcripts is a contract.  To rewrite them from the
-mvvol on the path (only when an output change is intended):
+Each cli_*.txt fixture in tests/fixtures/ is a transcript: per invocation,
+a "$ mvvol ..." line, its stdout and its exit code.  cache_table6.json is
+the cache file `mvvol table --max-size 6` writes from an empty memo.
+Values are exact, so every byte of these fixtures is a contract.  To
+rewrite them from the mvvol on the path (only when an output change is
+intended):
 
     PYTHONPATH=src python tests/test_cli_stdout.py
 """
@@ -11,12 +13,13 @@ mvvol on the path (only when an output change is intended):
 import contextlib
 import io
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from mvvol import cli, siegel_veech
-from mvvol.volumes import Stratum
+from mvvol.volumes import Stratum, clear_caches
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 FORMATS = ("exact", "decimal", "json")
@@ -45,7 +48,18 @@ def sv_invocations():
                     yield ["sv", text, "--kind", kind, *extra, "--format", fmt]
 
 
+def volume_invocations():
+    """Strata from the torus to genus 8, marked points among them, in each
+    format and at a short --digits."""
+    for text, extra in (("2", []), ("H(1,1)", []), ("3,1", []), ("2,0", []), ("", []),
+                        ("0,0", []), ("6,4,2,1,1", ["--max-weight", "20"])):
+        for fmt in FORMATS:
+            yield ["volume", text, *extra, "--format", fmt]
+        yield ["volume", text, *extra, "--format", "decimal", "--digits", "10"]
+
+
 INVOCATIONS = {
+    "volume": list(volume_invocations()),
     "table": [["table", "--max-size", "8", "--max-weight", "20", "--format", fmt]
               for fmt in FORMATS],
     "principal": [["principal", "8", "--verify", "--max-weight", "28", "--format", fmt]
@@ -64,6 +78,17 @@ def transcript(name):
     return "".join(out)
 
 
+def table_cache_bytes(directory):
+    """The bytes of the cache file `mvvol table --max-size 6` writes into
+    directory from an empty memo."""
+    path = Path(directory) / "cache.json"
+    clear_caches()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["table", "--max-size", "6", "--cache", str(path)])
+    assert code == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_stdout_matches_fixture(name, monkeypatch):
     monkeypatch.delenv("MV_CACHE", raising=False)
@@ -71,8 +96,15 @@ def test_stdout_matches_fixture(name, monkeypatch):
     assert transcript(name) == want
 
 
+def test_cache_bytes_match_fixture(tmp_path, monkeypatch):
+    monkeypatch.delenv("MV_CACHE", raising=False)
+    assert table_cache_bytes(tmp_path) == (FIXTURES / "cache_table6.json").read_bytes()
+
+
 if __name__ == "__main__":
     os.environ.pop("MV_CACHE", None)
     FIXTURES.mkdir(exist_ok=True)
     for name in INVOCATIONS:
         (FIXTURES / f"cli_{name}.txt").write_text(transcript(name), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        (FIXTURES / "cache_table6.json").write_bytes(table_cache_bytes(tmp))
