@@ -3,7 +3,8 @@ r"""Command line front end.
 Verbs:
   volume STRATUM     exact volume of one stratum
   principal G        closed-form principal-stratum volume at genus G
-                     (--verify: compare with the general pipeline)
+                     (--verify: compare with the general pipeline);
+                     --max-weight bounds 4G - 4, the weight of H(1^(2G-2))
   table              volumes/predictions for all strata up to a total degree
                      (--max-size)
   sv STRATUM         Siegel-Veech style constants from volume ratios
@@ -227,6 +228,11 @@ def _cmd_volume(args) -> int:
 def _cmd_principal(args) -> int:
     if args.genus < 2:
         raise InvalidStratumError("principal stratum needs genus >= 2")
+    # the bound of volume on H(1^(2G-2)), also without --verify: the closed
+    # form sums over all p(G) partitions of G
+    weight = 4 * args.genus - 4
+    if weight > args.max_weight:
+        raise InfeasibleSizeError(weight, args.max_weight)
     val = principal_volume(args.genus)
     matches: Optional[bool] = None
     if args.verify:

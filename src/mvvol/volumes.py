@@ -33,12 +33,15 @@ zero shares its block with the parts q that its children hand up.
 One and two zeros are the first layer.  At x^0, E is B, and
 L_k(n) = [y^n] exp(-k B(y)) takes O(k^2) integer operations on the
 scaled coefficients n! D_n L_k(n), where D_n, a product of odd primes,
-clears the Bernoulli denominators (_exp_series).  A single zero, the
-minimal stratum H(k - 1) and the torus at k = 1, gives
-[y^(k+1)] exp(-k B) / (-k); two zeros share one block and give
-sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  In a principal
-stratum L_2(1) = 0 makes every zero a leaf handing up u = 2, and the sum
-is the one bracket b(2, ..., 2).
+clears the Bernoulli denominators (_exp_series).  Its slopes
+c_j = j b(j - 1) are Bernoulli numbers, read from the integer tangent
+table (exact_arith.bernoulli) and not from the bracket series; the tests
+keep the Fraction recurrence on bracket.coefficient((v,)) as the oracle
+of _exp_series.  A single zero, the minimal stratum H(k - 1) and the
+torus at k = 1, gives [y^(k+1)] exp(-k B) / (-k); two zeros share one
+block and give sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  In a
+principal stratum L_2(1) = 0 makes every zero a leaf handing up u = 2,
+and the sum is the one bracket b(2, ..., 2).
 
 The genus-1 edge cases H() and H(0, ..., 0) are normalized through
 c_value((1,)) = pi^2/6, giving the torus volume pi^2/3.
@@ -194,25 +197,53 @@ def _odd_prime_steps(top: int) -> list[int]:
     return step
 
 
+# (j, num, den) for the slopes c_j = num/den of exp(-k B), j = 2, 4, ...,
+# 2 len(_SLOPES); empty until a one-zero series is asked for
+_SLOPES: tuple[tuple[int, int, int], ...] = ()
+
+
+def _slopes(top: int) -> tuple[tuple[int, int, int], ...]:
+    """The slopes c_j with j <= top, and possibly more (_exp_series).
+
+    b(j - 1) is one block with no correction, (j - 1)! z(j), so
+    c_j = j b(j - 1) = (-1)^(j/2+1) (2^j - 2) B_j, nonzero for every even
+    j >= 2 and zero for odd j.  The table grows by doubling; each larger
+    table is built locally and published by one assignment, so concurrent
+    callers may build it twice but always read equal values.  Its largest
+    B_j is asked for first, so one tangent table of that size is built.
+    """
+    global _SLOPES
+    table = _SLOPES
+    if len(table) < top // 2:
+        size = 2 * max(top // 2, 2 * len(table))
+        exact_arith.bernoulli(size)
+        rows = []
+        for j in range(2, size + 1, 2):
+            c = (-1) ** (j // 2 + 1) * (2**j - 2) * exact_arith.bernoulli(j)
+            rows.append((j, c.numerator, c.denominator))
+        table = _SLOPES = tuple(rows)
+    return table
+
+
 def _exp_series(k: int, top: int) -> list[Fraction]:
     """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)) (module docstring).
 
     E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
-    n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1).  The recurrence
-    runs on the integers A_n = n! D_n E_n, where D_n is the product over the
-    odd primes p of p^floor(n/(p-1)):
+    n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1), read from the
+    Bernoulli numbers (_slopes).  The recurrence runs on the integers
+    A_n = n! D_n E_n, where D_n is the product over the odd primes p of
+    p^floor(n/(p-1)):
 
         A_n = -k * sum_j (c_j D_n/D_(n-j)) * (n-1)!/(n-j)! * A_(n-j).
 
     By von Staudt-Clausen, c_j = +-2 (2^(j-1) - 1) B_j has the squarefree
     odd denominator prod {p : (p - 1) | j}, which divides D_n/D_(n-j), so
     every term is an integer; a remainder raises ArithmeticError.  Each
-    coefficient becomes a Fraction once.
+    coefficient becomes a Fraction once.  The tests check the result
+    against the Fraction recurrence on the brackets b(v).
     """
-    # (j, c_j) for the nonzero c_j with j <= top; b(v) vanishes for even v
-    # by grading, so j is even, and so is every n with E_n != 0
-    slopes = [(v + 1, c.numerator, c.denominator) for v in range(1, top)
-              if (c := (v + 1) * bracket.coefficient((v,)))]
+    # c_j vanishes for odd j, so every n with E_n != 0 is even
+    slopes = _slopes(top)
     step = _odd_prime_steps(top)
     a = [1] + [0] * top
     e = [Fraction(1)] + [Fraction(0)] * top
@@ -424,10 +455,12 @@ def principal_volume(g: int) -> PiValue:
 
 
 def clear_caches() -> None:
-    """Drop every memo table in the pipeline: volumes, Wick sums, brackets,
-    capital_f expansions, the tangent numbers, and the Bernoulli and zeta
-    values."""
+    """Drop every memo table in the pipeline: volumes, the slopes of
+    exp(-k B), Wick sums, brackets, capital_f expansions, the tangent
+    numbers, and the Bernoulli and zeta values."""
+    global _SLOPES
     _VOLUME_CACHE.clear()
+    _SLOPES = ()
     wick.clear_cache()
     bracket.clear_cache()
     exact_arith._TANGENTS = ()

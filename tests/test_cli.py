@@ -163,6 +163,30 @@ def test_principal_bad_genus(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, weight", [
+    (["principal", "80"], 316),
+    (["principal", "80", "--verify", "--format", "json"], 316),
+    (["principal", "5"], 16),
+    (["principal", "25", "--verify", "--max-weight", "95"], 96),
+])
+def test_principal_refused_above_weight_bound(argv, weight, capsys, monkeypatch):
+    # the bound of H(1^(2G-2)), weight 4G - 4, holds before the closed form
+    # is summed, with or without --verify
+    for name in ("volume", "principal_volume"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert f"sum of (m_i + 1) is {weight}, above the feasibility bound" in err
+
+
+def test_principal_at_raised_bound(capsys):
+    # H(1^8) has weight 16, above the default bound of 14
+    code, out, _ = run(["principal", "5", "--max-weight", "16"], capsys)
+    assert code == 0
+    assert out == f"{volume(Stratum([1] * 8), max_weight=16).value}\n"
+
+
 # -- table verb ---------------------------------------------------------------------
 
 

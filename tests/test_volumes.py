@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -176,15 +178,83 @@ def oracle_exp_series(k, top):
     return e
 
 
+# the tops the callers use: k + 1 for a single zero, k - 1 in the
+# hypertree series
+EXP_SERIES_CALLS = [(k, top) for k in [*range(1, 62), 151, 301] for top in (k - 1, k + 1)]
+
+
 def test_exp_series_matches_fraction_recurrence():
-    # the tops the callers use: k + 1 for a single zero, k - 1 in the
-    # hypertree series
-    clear_caches()
-    for k in [*range(1, 62), 151, 301]:
-        for top in (k - 1, k + 1):
+    # small then large grows the slope table; large then small reads a
+    # prefix of it
+    for calls in (EXP_SERIES_CALLS, EXP_SERIES_CALLS[::-1]):
+        clear_caches()
+        for k, top in calls:
             series = volumes._exp_series(k, top)
             assert all(type(c) is Fraction for c in series)
             assert series == oracle_exp_series(k, top), (k, top)
+
+
+def test_slope_table_growth_and_clear():
+    clear_caches()
+    assert volumes._SLOPES == ()
+    for top in (0, 1, 2, 5, 6, 40, 41, 300):
+        volumes._exp_series(3, top)
+        table = volumes._SLOPES
+        assert len(table) >= top // 2
+        assert [j for j, _, _ in table] == list(range(2, 2 * len(table) + 1, 2))
+    assert all(Fraction(num, den) == j * bracket.coefficient((j - 1,)) for j, num, den in table)
+    clear_caches()
+    assert volumes._SLOPES == ()
+
+
+def test_slope_table_from_concurrent_threads():
+    # more threads than cores, switching often, each growing the shared
+    # slope table from empty to a different top
+    wanted = [[(301, 300), (3, 2), (99, 100)], [(151, 150), (297, 298), (5, 4)],
+              [(41, 40), (259, 260), (121, 122)], [(199, 200), (7, 6), (301, 302)]]
+    expected = [[oracle_exp_series(k, top) for k, top in calls] for calls in wanted]
+    clear_caches()
+    results = [None] * len(wanted)
+    barrier = threading.Barrier(len(wanted))
+
+    def work(i):
+        barrier.wait()
+        results[i] = [volumes._exp_series(k, top) for k, top in wanted[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(wanted))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+
+
+def test_one_zero_layer_sums_no_bracket_series(monkeypatch):
+    # the slopes of exp(-k B) come from the Bernoulli numbers: no tree
+    # series is summed, and a cold H(598) builds one tangent table, T_300
+    def refuse(mm):
+        raise AssertionError(f"tree series summed for {mm}")
+
+    built = []
+    tangent_numbers = exact_arith._tangent_numbers
+    monkeypatch.setattr(bracket, "_tree_sum", refuse)
+    monkeypatch.setattr(exact_arith, "_tangent_numbers",
+                        lambda n: built.append(n) or tangent_numbers(n))
+    clear_caches()
+    res = volume([598], max_weight=600)
+    assert built == [300]
+    assert res.relative_error == Decimal("-0.00274697400726556")
+    clear_caches()
+    for g in range(1, 31):
+        assert volume([2 * g - 2], max_weight=2 * g - 1).value
+    for k, top in EXP_SERIES_CALLS:
+        volumes._exp_series(k, top)
 
 
 def test_exp_series_checks_its_integer_division(monkeypatch):
