@@ -18,11 +18,12 @@ labelled trees on the l blocks in which block i has degree d_i + 1.  With
 
     psi(beta, delta) = -s! * z(s - c - delta + 2)
 
-for a block beta of sum s and size c, where z is the rational coefficient
-of frak_z, the whole bracket is minus one sum over the set partitions of the
-positions together with a tree on their blocks, each block weighted by psi
-at its tree degree.  The one-block partition is the one-vertex tree and
-gives the leading term; the sign (-1)^(l-1) is -1 times the l signs of psi.
+for a block beta of sum s and size c, where z(k) = frak_slope(k) / k! is
+the rational coefficient of frak_z(k) (exact_arith), the whole bracket is
+minus one sum over the set partitions of the positions together with a
+tree on their blocks, each block weighted by psi at its tree degree.  The
+one-block partition is the one-vertex tree and gives the leading term; the
+sign (-1)^(l-1) is -1 times the l signs of psi.
 
 Such sums have exponential generating functions.  Take one variable per
 distinct value of m, so a block is a count vector beta and m is the vector
@@ -44,12 +45,13 @@ odd, so R^j there survives only when j = S - C mod 2, and the sums step
 over the other half.
 
 The pi exponent is fixed by the grading, so the series run on bare
-Fractions and pi is attached once per public call.  coefficient() is the
-rational hot-path entry used by the Wick and volume layers; its memo holds
-the coefficient of every multiset seen so far, keyed on the sorted multiset,
-and a miss sums the series once unless the exponent is odd, where the
-coefficient is 0.  A block's weights psi(beta, .)/(j! beta!) depend on beta
-only through (s, c, beta!) and are memoized on it across calls.
+Fractions, read from the memoized exact_arith.frak_slope, and pi is
+attached once per public call.  coefficient() is the rational hot-path
+entry used by the Wick and volume layers; its memo holds the coefficient
+of every multiset seen so far, keyed on the sorted multiset, and a miss
+sums the series once unless the exponent is odd, where the coefficient
+is 0.  A block's weights psi(beta, .)/(j! beta!) depend on beta only
+through (s, c, beta!) and are memoized on it across calls.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from itertools import groupby, product
 from operator import mul
 from typing import Iterable
 
-from .exact_arith import PiValue, frak_z
+from .exact_arith import PiValue, frak_slope
 
 __all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
 
@@ -80,11 +82,6 @@ def _canonical(m: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-def _z(k: int) -> Fraction:
-    """Rational coefficient of frak_z(k), i.e. of pi^k (zero for odd k)."""
-    return frak_z(k).coefficient(k)
-
-
 def _weights(s: int, c: int, fact: int, n: int) -> tuple[list, list]:
     """Weights of a block with j children in a tree, divided by beta!.
 
@@ -98,8 +95,8 @@ def _weights(s: int, c: int, fact: int, n: int) -> tuple[list, list]:
     w = _WEIGHTS.get((s, c, fact))
     top = s - c + 2
     if w is None or len(w[1]) <= min(n - c, top):
-        psi = [Fraction(-math.factorial(s), fact) * _z(top - d) if (top - d) % 2 == 0 else 0
-               for d in range(min(n - c, top) + 1)]
+        psi = [-math.factorial(s) * frak_slope(top - d) / (fact * math.factorial(top - d))
+               if (top - d) % 2 == 0 else 0 for d in range(min(n - c, top) + 1)]
         w = _WEIGHTS[(s, c, fact)] = (
             [q and q / math.factorial(j - 1) for j, q in enumerate(psi[1:], 1)],
             [q and q / math.factorial(j) for j, q in enumerate(psi)],
@@ -166,7 +163,7 @@ def error_term(m: Iterable[int]) -> PiValue:
     """Correction to the leading frak_z term of single_bracket(m)."""
     mm = _canonical(m)
     exponent = sum(mm) - len(mm) + 2
-    lead = math.factorial(sum(mm)) * _z(exponent)
+    lead = math.factorial(sum(mm)) * frak_slope(exponent) / math.factorial(exponent)
     return PiValue(coefficient(mm) - lead, exponent)
 
 

@@ -23,8 +23,9 @@ MV_CACHE environment variable overrides the flag.  The file is format 2:
 {"version": 2, "entries": {key: {"num", "den", "pi_exp", "crc32"}}}, with
 the canonical stratum key, num and den as digit strings, and crc32 the
 binascii.crc32 of "key|num|den|pi_exp".  On load every key, field, checksum
-and the pi^(2g) grading are checked; a file that fails any check, or of
-another version, exits 2.  The checksum catches corruption and hand edits,
+and the pi^(2g) grading are checked, and num and den may have at most
+CACHE_MAX_DIGITS digits; a file that fails any check, or of another
+version, exits 2.  The checksum catches corruption and hand edits,
 not an edit that recomputes it.  A run that computed new volumes merges
 them into the file under an exclusive lock on PATH.lock, so concurrent
 runs keep each other's entries; the file is checked again then, and one
@@ -40,12 +41,13 @@ import json
 import os
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
 from . import siegel_veech, volumes
 from .combinatorics import partitions_of_size
-from .exact_arith import PiValue
+from .exact_arith import PiValue, int_str
 from .selftest import run_selftest
 from .volumes import (
     InfeasibleSizeError,
@@ -59,6 +61,9 @@ from .volumes import (
 __all__ = ["main", "entry", "parse_stratum", "load_cache", "save_cache", "CacheError"]
 
 CACHE_VERSION = 2
+# far above any volume within reach (H(598) has 2,959 digits), and small
+# enough that int(Decimal(text)) stays under half a second
+CACHE_MAX_DIGITS = 100_000
 
 
 class CacheError(ValueError):
@@ -108,7 +113,7 @@ def _read_cache(path: str) -> dict[tuple[int, ...], PiValue]:
             data = json.load(fh)
     except FileNotFoundError:
         return {}
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int literal too long
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CacheError(f"cache {path} is not a JSON object")
@@ -131,13 +136,15 @@ def _read_cache(path: str) -> dict[tuple[int, ...], PiValue]:
         num, den, exp = rec.get("num"), rec.get("den"), rec.get("pi_exp")
         if not (_is_digits(num) and _is_digits(den) and type(exp) is int):
             raise CacheError(f"malformed cache entry {key!r} in {path}")
+        if max(len(num), len(den)) > CACHE_MAX_DIGITS:
+            raise CacheError(f"cache entry {key!r} in {path} has over {CACHE_MAX_DIGITS} digits")
         crc = rec.get("crc32")
         if type(crc) is not int or crc != _checksum(key, num, den, exp):
             raise CacheError(f"cache entry {key!r} in {path} fails its checksum")
         try:
             num, den = int(num), int(den)
-        except ValueError as exc:  # more digits than int() converts
-            raise CacheError(f"malformed cache entry {key!r} in {path}") from exc
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            num, den = int(Decimal(num)), int(Decimal(den))
         if num == 0 or den == 0:
             raise CacheError(f"malformed cache entry {key!r} in {path}")
         if exp != sum(degrees) + 2:
@@ -199,7 +206,7 @@ def save_cache(path: str) -> None:
 def _exact_fields(value: PiValue) -> dict:
     """The value q * pi^e as JSON output and the cache file spell it."""
     q, e = value.monomial()
-    return {"num": str(q.numerator), "den": str(q.denominator), "pi_exp": e}
+    return {"num": int_str(q.numerator), "den": int_str(q.denominator), "pi_exp": e}
 
 
 def _shown(value: PiValue, args) -> str:

@@ -5,8 +5,8 @@ q * pi^e with q rational and e an even integer (negative exponents
 allowed): the grading fixes e for each bracket, c_value, volume and
 Siegel-Veech ratio (after Eskin-Okounkov, a volume is a rational multiple
 of pi^(2g)).  PiValue stores q exactly with its exponent and renders
-either as canonical text or as a fixed-precision decimal using an embedded
-100-digit value of pi.  A sum of two nonzero values with different
+either as canonical text of any length or as a fixed-precision decimal
+using an embedded 100-digit value of pi.  A sum of two nonzero values with different
 exponents is refused: the grading never asks for one.
 
 Also provides the Bernoulli numbers (B_1 = -1/2 convention), read off the
@@ -17,13 +17,17 @@ integer tangent numbers T_n by
 with T_1 .. T_N from the in-place integer recurrence of Brent and Harvey
 ("Fast computation of Bernoulli, tangent and secant numbers", 2011): O(N^2)
 products of a big and a small int, and no gcd until each B_2n is reduced
-once.  Also the even zeta values as exact pi-monomials, and the
-alternating variant
+once.  The pipeline reads them through one memoized family, the slopes
+
+    frak_slope(k) = (-1)^(k/2+1) * (2^k - 2) * B_k = k! * z(k)   for even k >= 0,
+
+with z(k) the coefficient of pi^k in the alternating zeta value
 
     frak_z(k) = (2 - 2^(2-k)) * zeta(k)   for even k >= 2,
 
 extended by frak_z(0) = 1 and frak_z(k) = 0 for k odd or negative.  The
 k = 0 value encodes the zeta(0) = -1/2 convention: (2 - 2^2) * (-1/2) = 1.
+frak_z and zeta_even are unmemoized PiValue wrappers over frak_slope.
 """
 
 from __future__ import annotations
@@ -37,9 +41,12 @@ from typing import Union
 __all__ = [
     "PI_DIGITS",
     "PiValue",
+    "int_str",
     "bernoulli",
+    "frak_slope",
     "zeta_even",
     "frak_z",
+    "clear_cache",
 ]
 
 # pi to 100 decimal digits; decimal rendering is capped at this precision.
@@ -50,6 +57,13 @@ PI_DIGITS = (
 )
 
 RationalLike = Union[int, Fraction]
+
+
+def int_str(n: int) -> str:
+    """str(n) at any size.  str() refuses an int of more digits than
+    sys.get_int_max_str_digits() (4300 by default); Decimal converts it
+    exactly and is not subject to that limit."""
+    return str(Decimal(n))
 
 
 class PiValue:
@@ -151,9 +165,10 @@ class PiValue:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.e:  # zero included
-            return str(self.q)
-        return f"{self.q} * pi^{self.e}"
+        text = int_str(self.q.numerator)
+        if self.q.denominator != 1:
+            text += "/" + int_str(self.q.denominator)
+        return f"{text} * pi^{self.e}" if self.e else text  # zero included
 
     def __repr__(self) -> str:
         return f"PiValue({self})"
@@ -220,19 +235,26 @@ def bernoulli(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def frak_slope(k: int) -> Fraction:
+    """k! times the rational coefficient of frak_z(k): (-1)^(k/2+1) *
+    (2^k - 2) * B_k for even k >= 0, so 1, 1/3, 7/15, 31/21 at k = 0, 2,
+    4, 6, and zero for k odd or negative."""
+    if k < 0 or k % 2:
+        return Fraction(0)
+    return (-1) ** (k // 2 + 1) * (2**k - 2) * bernoulli(k)
+
+
 def zeta_even(k: int) -> PiValue:
     """zeta(k) for even k >= 2, as an exact rational multiple of pi^k.
 
-    zeta(k) = (-1)^(k/2+1) * B_k * 2^(k-1) / k! * pi^k, so zeta(2) = pi^2/6,
-    zeta(4) = pi^4/90, zeta(6) = pi^6/945.
+    zeta(k) = frak_slope(k) / (k! * (2 - 2^(2-k))) * pi^k, so zeta(2) =
+    pi^2/6, zeta(4) = pi^4/90, zeta(6) = pi^6/945.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError("zeta_even needs an even argument k >= 2")
-    q = (-1) ** (k // 2 + 1) * bernoulli(k) * 2 ** (k - 1) / math.factorial(k)
-    return PiValue(q, k)
+    return PiValue(frak_slope(k) * 2 ** (k - 1) / (math.factorial(k) * (2**k - 2)), k)
 
 
-@lru_cache(maxsize=None)
 def frak_z(k: int) -> PiValue:
     """Alternating even zeta value (2 - 2^(2-k)) * zeta(k), as a PiValue.
 
@@ -241,6 +263,12 @@ def frak_z(k: int) -> PiValue:
     """
     if k < 0 or k % 2 != 0:
         return PiValue.zero()
-    if k == 0:
-        return PiValue(1)
-    return zeta_even(k) * (2 - Fraction(2) ** (2 - k))
+    return PiValue(frak_slope(k) / math.factorial(k), k)
+
+
+def clear_cache() -> None:
+    """Drop the tangent table and the Bernoulli and slope memos."""
+    global _TANGENTS
+    _TANGENTS = ()
+    bernoulli.cache_clear()
+    frak_slope.cache_clear()

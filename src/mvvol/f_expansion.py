@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .combinatorics import Partition, partitions_of_weight
 
-__all__ = ["capital_f"]
+__all__ = ["capital_f", "clear_cache"]
 
 
 @lru_cache(maxsize=None)
@@ -43,3 +43,7 @@ def capital_f(k: int) -> dict[Partition, Fraction]:
     if k < 1:
         raise ValueError("capital_f is defined for k >= 1")
     return dict(_capital_f_items(k))
+
+
+def clear_cache() -> None:
+    _capital_f_items.cache_clear()

@@ -34,8 +34,8 @@ One and two zeros are the first layer.  At x^0, E is B, and
 L_k(n) = [y^n] exp(-k B(y)) takes O(k^2) integer operations on the
 scaled coefficients n! D_n L_k(n), where D_n, a product of odd primes,
 clears the Bernoulli denominators (_exp_series).  Its slopes
-c_j = j b(j - 1) are Bernoulli numbers, read from the integer tangent
-table (exact_arith.bernoulli) and not from the bracket series; the tests
+c_j = j b(j - 1) are Bernoulli numbers, read from the memoized
+exact_arith.frak_slope and not from the bracket series; the tests
 keep the Fraction recurrence on bracket.coefficient((v,)) as the oracle
 of _exp_series.  A single zero, the minimal stratum H(k - 1) and the
 torus at k = 1, gives [y^(k+1)] exp(-k B) / (-k); two zeros share one
@@ -53,7 +53,8 @@ independent closed form: with n = 2g - 2,
         (-1)^(len(mu)-1) / ((2n - len(mu) + 2)! * prod_i M_i(mu)!)
         * prod_i (2 mu_i - 3)!! * frak_z(mu_i),
 
-and the volume is 2c.  Agreement with the general pipeline is a strong
+and the volume is 2c, summed on the rationals frak_slope(mu_i) / mu_i! with
+pi^(2g) attached once.  Agreement with the general pipeline is a strong
 cross-check of the whole correlator stack (it is exercised in the tests).
 
 prediction(s) is the large-genus approximation 4 / prod (m_i + 1); each
@@ -77,7 +78,7 @@ from typing import Iterable, Optional, Union
 
 from . import bracket, exact_arith, f_expansion, wick
 from .combinatorics import Partition, partitions_of_size
-from .exact_arith import PiValue, frak_z
+from .exact_arith import PiValue, frak_slope
 
 __all__ = [
     "InvalidStratumError",
@@ -197,42 +198,15 @@ def _odd_prime_steps(top: int) -> list[int]:
     return step
 
 
-# (j, num, den) for the slopes c_j = num/den of exp(-k B), j = 2, 4, ...,
-# 2 len(_SLOPES); empty until a one-zero series is asked for
-_SLOPES: tuple[tuple[int, int, int], ...] = ()
-
-
-def _slopes(top: int) -> tuple[tuple[int, int, int], ...]:
-    """The slopes c_j with j <= top, and possibly more (_exp_series).
-
-    b(j - 1) is one block with no correction, (j - 1)! z(j), so
-    c_j = j b(j - 1) = (-1)^(j/2+1) (2^j - 2) B_j, nonzero for every even
-    j >= 2 and zero for odd j.  The table grows by doubling; each larger
-    table is built locally and published by one assignment, so concurrent
-    callers may build it twice but always read equal values.  Its largest
-    B_j is asked for first, so one tangent table of that size is built.
-    """
-    global _SLOPES
-    table = _SLOPES
-    if len(table) < top // 2:
-        size = 2 * max(top // 2, 2 * len(table))
-        exact_arith.bernoulli(size)
-        rows = []
-        for j in range(2, size + 1, 2):
-            c = (-1) ** (j // 2 + 1) * (2**j - 2) * exact_arith.bernoulli(j)
-            rows.append((j, c.numerator, c.denominator))
-        table = _SLOPES = tuple(rows)
-    return table
-
-
 def _exp_series(k: int, top: int) -> list[Fraction]:
     """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)) (module docstring).
 
     E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
-    n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1), read from the
-    Bernoulli numbers (_slopes).  The recurrence runs on the integers
-    A_n = n! D_n E_n, where D_n is the product over the odd primes p of
-    p^floor(n/(p-1)):
+    n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1).  b(j - 1) is one
+    block with no correction, (j - 1)! z(j), so c_j = j! z(j) =
+    frak_slope(j), nonzero for every even j >= 2 and zero for odd j.  The
+    recurrence runs on the integers A_n = n! D_n E_n, where D_n is the
+    product over the odd primes p of p^floor(n/(p-1)):
 
         A_n = -k * sum_j (c_j D_n/D_(n-j)) * (n-1)!/(n-j)! * A_(n-j).
 
@@ -242,8 +216,11 @@ def _exp_series(k: int, top: int) -> list[Fraction]:
     coefficient becomes a Fraction once.  The tests check the result
     against the Fraction recurrence on the brackets b(v).
     """
-    # c_j vanishes for odd j, so every n with E_n != 0 is even
-    slopes = _slopes(top)
+    # c_j vanishes for odd j, so every n with E_n != 0 is even.  The
+    # largest B_j first, so a cold call builds one tangent table.
+    exact_arith.bernoulli(top - top % 2)
+    slopes = [(j, c.numerator, c.denominator) for j in range(2, top + 1, 2)
+              for c in (frak_slope(j),)]
     step = _odd_prime_steps(top)
     a = [1] + [0] * top
     e = [Fraction(1)] + [Fraction(0)] * top
@@ -425,48 +402,32 @@ def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult
     )
 
 
-def _odd_double_factorial(k: int) -> int:
-    """(k)!! for odd k >= -1; (-1)!! = 1."""
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def principal_volume(g: int) -> PiValue:
     """Volume of the stratum with 2g - 2 simple zeros, by the closed form."""
     if g < 2:
         raise ValueError("principal_volume needs genus g >= 2")
     n = 2 * g - 2
-    total = PiValue.zero()
+    total = Fraction(0)
     for lam in partitions_of_size((n + 2) // 2):
         mu = Partition(tuple(2 * p for p in lam))
         ell = len(mu)
         denom = math.factorial(2 * n - ell + 2)
         for mult in mu.multiplicities().values():
             denom *= math.factorial(mult)
-        coeff = Fraction((-1) ** (ell - 1), denom)
-        term = PiValue(coeff)
-        for p in mu:
-            term = term * (frak_z(p) * _odd_double_factorial(2 * p - 3))
+        term = Fraction((-1) ** (ell - 1), denom)
+        for p in mu:  # (2p - 3)!! / p! = C(2p - 2, p - 1) / (p 2^(p-1))
+            term *= frak_slope(p) * Fraction(math.comb(2 * p - 2, p - 1), p * 2 ** (p - 1))
         total += term
-    return total * (2 * math.factorial(n))
+    return PiValue(total * (2 * math.factorial(n)), 2 * g)
 
 
 def clear_caches() -> None:
-    """Drop every memo table in the pipeline: volumes, the slopes of
-    exp(-k B), Wick sums, brackets, capital_f expansions, the tangent
-    numbers, and the Bernoulli and zeta values."""
-    global _SLOPES
+    """Drop every memo table in the pipeline: volumes here, then each
+    module's own: Wick sums, brackets, capital_f expansions, and the
+    tangent numbers with the Bernoulli numbers and slopes."""
     _VOLUME_CACHE.clear()
-    _SLOPES = ()
-    wick.clear_cache()
-    bracket.clear_cache()
-    exact_arith._TANGENTS = ()
-    for memo in (f_expansion._capital_f_items, exact_arith.bernoulli,
-                 exact_arith.zeta_even, exact_arith.frak_z):
-        memo.cache_clear()
+    for module in (wick, bracket, f_expansion, exact_arith):
+        module.clear_cache()
 
 
 def volume_cache() -> dict[tuple[int, ...], PiValue]:

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from mvvol import bracket
-from mvvol.bracket import _z, clear_cache, error_term, single_bracket
+from mvvol.bracket import clear_cache, error_term, single_bracket
 from mvvol.combinatorics import nonneg_compositions, partitions_of_size, set_partitions
-from mvvol.exact_arith import PiValue, frak_z
+from mvvol.exact_arith import PiValue, frak_slope, frak_z
 
 
 def mono(num, den, exp):
@@ -43,7 +43,7 @@ def recursion_block_term_sum(stats, total):
         top = s - c + 1
         opts = []
         for d in range(top % 2, min(top, total) + 1, 2):
-            z = _z(top - d)
+            z = frak_slope(top - d) / math.factorial(top - d)
             if z:
                 opts.append((d, Fraction(math.factorial(s), math.factorial(d)) * z))
         if not opts:

@@ -5,12 +5,13 @@ import json
 import os
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 import mvvol.cli as cli
-from mvvol import siegel_veech
+from mvvol import siegel_veech, volumes
 from mvvol.cli import main, parse_stratum
 from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
@@ -674,6 +675,54 @@ def test_env_var_overrides_cache_flag(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert env_path.exists()
     assert not flag_path.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int-to-str digits")
+def test_large_values_under_a_low_int_digit_limit(tmp_path, capsys, monkeypatch):
+    # H(298) has a 1,062-digit numerator and a 1,213-digit denominator,
+    # which str() and int() refuse at a limit of 640 digits: exact and json
+    # output, the cache file and its reload must not depend on that limit
+    argv = ["volume", "298", "--max-weight", "300"]
+    expected, written = {}, {}
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            for fmt in ("exact", "json"):
+                clear_caches()
+                expected[digits, fmt] = run([*argv, "--format", fmt], capsys)[:2]
+            path = tmp_path / f"cache{digits}.json"
+            clear_caches()
+            assert run([*argv, "--cache", str(path)], capsys)[:2] == expected[digits, "exact"]
+            written[digits] = path.read_bytes()
+        assert expected[limit, "exact"][0] == 0 and expected[limit, "json"][0] == 0
+        assert {fmt: expected[640, fmt] for fmt in ("exact", "json")} == {
+            fmt: expected[limit, fmt] for fmt in ("exact", "json")}
+        assert written[640] == written[limit]
+        # the reload at the low limit serves the volume: nothing is computed
+        monkeypatch.setattr(volumes, "c_value", refuse)
+        clear_caches()
+        code, out = run([*argv, "--format", "json", "--cache", str(path)], capsys)[:2]
+        assert (code, out) == expected[limit, "json"]
+        assert path.read_bytes() == written[limit]
+        # a million digits are refused by their length, before any conversion
+        huge = tmp_path / "huge.json"
+        write_cache(huge, {"2": cache_entry("2", "9" * 10**6, "1", 4)})
+        clear_caches()
+        start = time.perf_counter()
+        code, out, err = run(["volume", "2", "--cache", str(huge)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert f"has over {cli.CACHE_MAX_DIGITS} digits" in err
+        # json.load reads an int literal with int(): past the limit it is a
+        # cache error as well
+        text = json.dumps(entries(VALID_2))
+        huge.write_text(text.replace('"pi_exp": 4', '"pi_exp": ' + "9" * 700))
+        with pytest.raises(cli.CacheError, match="cannot read cache"):
+            cli.load_cache(str(huge))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- selftest verb -----------------------------------------------------------------

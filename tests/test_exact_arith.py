@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mvvol import exact_arith
-from mvvol.exact_arith import PiValue, bernoulli, frak_z, zeta_even
+from mvvol.exact_arith import PiValue, bernoulli, frak_slope, frak_z, int_str, zeta_even
 from mvvol.volumes import clear_caches
 
 
@@ -130,6 +130,30 @@ def test_frak_z_table():
     assert frak_z(0) == PiValue(1)
     assert frak_z(2) == PiValue(Fraction(1, 6), 2)
     assert frak_z(4) == PiValue(Fraction(7, 360), 4)
+
+
+def test_zeta_values_match_bernoulli_oracle():
+    # every k <= 300 from the textbook formulas on the oracle B_k, bit for
+    # bit: zeta(k) = (-1)^(k/2+1) B_k 2^(k-1) / k! * pi^k, frak_z(k) =
+    # (2 - 2^(2-k)) zeta(k), frak_slope(k) = k! * (coefficient of frak_z)
+    clear_caches()
+    for k in range(-6, 301):
+        if k < 0 or k % 2:
+            assert frak_slope(k) == 0 and type(frak_slope(k)) is Fraction, k
+            assert frak_z(k) == PiValue.zero() and (frak_z(k).q, frak_z(k).e) == (0, 0), k
+            continue
+        if k == 0:
+            zeta, frak = None, PiValue(1)
+        else:
+            q = (-1) ** (k // 2 + 1) * ORACLE_BERNOULLI[k] * 2 ** (k - 1) / math.factorial(k)
+            zeta = PiValue(q, k)
+            frak = PiValue(q * (2 - Fraction(2) ** (2 - k)), k)
+            assert zeta_even(k) == zeta and str(zeta_even(k)) == str(zeta), k
+        assert frak_z(k) == frak and str(frak_z(k)) == str(frak), k
+        slope = frak_slope(k)
+        assert type(slope) is Fraction and slope == frak.q * math.factorial(k), k
+        assert (slope.numerator, slope.denominator) == (
+            (-1) ** (k // 2 + 1) * (2**k - 2) * ORACLE_BERNOULLI[k]).as_integer_ratio(), k
 
 
 def test_frak_z_approaches_two():
@@ -255,6 +279,29 @@ def test_pivalue_rendering():
     assert str(PiValue(Fraction(-1, 9), 4)) == "-1/9 * pi^4"
     assert str(-PiValue(Fraction(1, 9), 4)) == "-1/9 * pi^4"
     assert repr(PiValue(Fraction(1, 6), 2)) == "PiValue(1/6 * pi^2)"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int-to-str digits")
+def test_int_str_ignores_the_int_digit_limit():
+    # str() refuses more than sys.get_int_max_str_digits() digits; the
+    # rendering of a PiValue must not, and must match str() below the limit
+    rng = random.Random(11)
+    ints = [0, 1, -1, 10**640, -(10**639) - 7]
+    ints += [rng.randrange(-10**700, 10**700) for _ in range(50)]
+    strings = [str(n) for n in ints]
+    value = PiValue(Fraction(3**2000 + 1, 7**1500), 600)
+    text = str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            str(10**700)
+        assert [int_str(n) for n in ints] == strings
+        assert str(value) == text and repr(value) == f"PiValue({text})"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == f"{3**2000 + 1}/{7**1500} * pi^600"
 
 
 def test_pivalue_decimal_rendering():

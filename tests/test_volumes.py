@@ -184,8 +184,8 @@ EXP_SERIES_CALLS = [(k, top) for k in [*range(1, 62), 151, 301] for top in (k - 
 
 
 def test_exp_series_matches_fraction_recurrence():
-    # small then large grows the slope table; large then small reads a
-    # prefix of it
+    # small then large grows the slope memo and the tangent table; large
+    # then small reads a prefix of them
     for calls in (EXP_SERIES_CALLS, EXP_SERIES_CALLS[::-1]):
         clear_caches()
         for k, top in calls:
@@ -195,16 +195,17 @@ def test_exp_series_matches_fraction_recurrence():
 
 
 def test_slope_table_growth_and_clear():
+    # the slopes c_j of exp(-k B) are the memoized exact_arith.frak_slope:
+    # each series reads exactly the even j <= top, and the memo grows with top
+    slope = exact_arith.frak_slope
     clear_caches()
-    assert volumes._SLOPES == ()
+    assert slope.cache_info().currsize == 0
     for top in (0, 1, 2, 5, 6, 40, 41, 300):
         volumes._exp_series(3, top)
-        table = volumes._SLOPES
-        assert len(table) >= top // 2
-        assert [j for j, _, _ in table] == list(range(2, 2 * len(table) + 1, 2))
-    assert all(Fraction(num, den) == j * bracket.coefficient((j - 1,)) for j, num, den in table)
+        assert slope.cache_info().currsize == top // 2
+    assert all(slope(j) == j * bracket.coefficient((j - 1,)) for j in range(2, 301, 2))
     clear_caches()
-    assert volumes._SLOPES == ()
+    assert slope.cache_info().currsize == 0
 
 
 def test_slope_table_from_concurrent_threads():
@@ -374,8 +375,7 @@ def test_volume_result_fields():
 
 def test_clear_caches_empties_every_memo():
     # volumes skip capital_f and the Wick memo, so fill those directly
-    memos = (exact_arith.bernoulli, exact_arith.zeta_even, exact_arith.frak_z,
-             f_expansion._capital_f_items)
+    memos = (exact_arith.bernoulli, exact_arith.frak_slope, f_expansion._capital_f_items)
     tables = (bracket._CACHE, bracket._WEIGHTS, wick._CACHE, volumes._VOLUME_CACHE)
     clear_caches()
     volume(Stratum([2, 1, 1]))
@@ -385,7 +385,7 @@ def test_clear_caches_empties_every_memo():
     assert all(tables)
     assert exact_arith._TANGENTS
     clear_caches()
-    assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+    assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
     assert [len(t) for t in tables] == [0, 0, 0, 0]
     assert exact_arith._TANGENTS == ()
 
