@@ -23,13 +23,13 @@ MV_CACHE environment variable overrides the flag.  The file is format 2:
 {"version": 2, "entries": {key: {"num", "den", "pi_exp", "crc32"}}}, with
 the canonical stratum key, num and den as digit strings, and crc32 the
 binascii.crc32 of "key|num|den|pi_exp".  On load every key, field, checksum
-and the pi^(2g) grading are checked, and num and den may have at most
-CACHE_MAX_DIGITS digits; a file that fails any check, or of another
-version, exits 2.  The checksum catches corruption and hand edits,
-not an edit that recomputes it.  A run that computed new volumes merges
-them into the file under an exclusive lock on PATH.lock, so concurrent
-runs keep each other's entries; the file is checked again then, and one
-that fails exits 2 as well.
+and the pi^(2g) grading are checked, and the squared digit counts of all
+num and den may sum to at most CACHE_MAX_DIGITS**2; a file that fails any
+check, or of another version, exits 2.  The checksum catches corruption and
+hand edits, not an edit that recomputes it.  A run that computed new
+volumes merges them into the file under an exclusive lock on PATH.lock, so
+concurrent runs keep each other's entries; the file is checked again then,
+and one that fails exits 2 as well.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ from .volumes import (
 __all__ = ["main", "entry", "parse_stratum", "load_cache", "save_cache", "CacheError"]
 
 CACHE_VERSION = 2
-# far above any volume within reach (H(598) has 2,959 digits), and small
-# enough that int(Decimal(text)) stays under half a second
+# Reading n digits costs time quadratic in n: the num and den strings of one
+# cache file may have squared lengths summing to at most CACHE_MAX_DIGITS**2,
+# under half a second of conversion (H(598) has 2,959 digits).
 CACHE_MAX_DIGITS = 100_000
 
 
@@ -124,6 +125,7 @@ def _read_cache(path: str) -> dict[tuple[int, ...], PiValue]:
     if not isinstance(entries, dict):
         raise CacheError(f"cache {path} has no entries object")
     loaded: dict[tuple[int, ...], PiValue] = {}
+    budget = CACHE_MAX_DIGITS**2
     for key, rec in entries.items():
         try:
             degrees = _key_degrees(key)
@@ -136,15 +138,14 @@ def _read_cache(path: str) -> dict[tuple[int, ...], PiValue]:
         num, den, exp = rec.get("num"), rec.get("den"), rec.get("pi_exp")
         if not (_is_digits(num) and _is_digits(den) and type(exp) is int):
             raise CacheError(f"malformed cache entry {key!r} in {path}")
-        if max(len(num), len(den)) > CACHE_MAX_DIGITS:
-            raise CacheError(f"cache entry {key!r} in {path} has over {CACHE_MAX_DIGITS} digits")
+        budget -= len(num) ** 2 + len(den) ** 2
+        if budget < 0:
+            raise CacheError(f"cache {path} has too many digits, at entry {key!r}")
         crc = rec.get("crc32")
         if type(crc) is not int or crc != _checksum(key, num, den, exp):
             raise CacheError(f"cache entry {key!r} in {path} fails its checksum")
-        try:
-            num, den = int(num), int(den)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            num, den = int(Decimal(num)), int(Decimal(den))
+        # int() refuses more digits than sys.get_int_max_str_digits(); Decimal does not
+        num, den = int(Decimal(num)), int(Decimal(den))
         if num == 0 or den == 0:
             raise CacheError(f"malformed cache entry {key!r} in {path}")
         if exp != sum(degrees) + 2:

@@ -714,7 +714,7 @@ def test_large_values_under_a_low_int_digit_limit(tmp_path, capsys, monkeypatch)
         code, out, err = run(["volume", "2", "--cache", str(huge)], capsys)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert f"has over {cli.CACHE_MAX_DIGITS} digits" in err
+        assert "has too many digits" in err
         # json.load reads an int literal with int(): past the limit it is a
         # cache error as well
         text = json.dumps(entries(VALID_2))
@@ -723,6 +723,21 @@ def test_large_values_under_a_low_int_digit_limit(tmp_path, capsys, monkeypatch)
             cli.load_cache(str(huge))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_cache_digit_budget_spans_the_file(tmp_path, capsys):
+    # the digit bound holds for the whole file, not for each entry: twenty
+    # entries of 99,999 digits each would take seconds to convert, but the
+    # second one already passes the budget and nothing past it is converted
+    near = "9" * (cli.CACHE_MAX_DIGITS - 1)
+    path = tmp_path / "many.json"
+    write_cache(path, {str(d): cache_entry(str(d), near, "1", d + 2) for d in range(2, 42, 2)})
+    clear_caches()
+    start = time.perf_counter()
+    code, out, err = run(["volume", "2", "--cache", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "has too many digits" in err and "at entry '4'" in err
 
 
 # -- selftest verb -----------------------------------------------------------------
