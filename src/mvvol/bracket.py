@@ -44,14 +44,37 @@ planted tree over a vector of sum S and size C survives only when S - C is
 odd, so R^j there survives only when j = S - C mod 2, and the sums step
 over the other half.
 
+A tree on two blocks has one edge, so with the slopes c(k) = frak_slope(k)
+a bracket of two parts is a closed form,
+
+    coefficient((u, v)) = c(u + v) - c(u) c(v),
+
+the one-vertex tree on the block {u, v} and then the one edge between
+the two singletons (0 at an odd exponent, where c vanishes).  It is the
+series' first layer beyond a single part, as the one- and two-zero closed
+forms are of the hypertree series in volumes.  A single part is one
+vector, which _tree_sum sums directly (it gives c(v + 1)/(v + 1)), and
+_tree_sum stays callable on any multiset as the oracle of both.
+
+Brackets of three or more parts share one table of planted trees,
+_PLANTED.  R^j at a count vector a sums trees on the blocks of a alone:
+a block's weights depend on the multiset being summed only through the
+length of their list, and the sums at a stop at j <= |a|.  So R^0 ..
+R^|a| depend only on the sub-multiset a stands for, and are kept keyed
+on it.  A bracket fills only the vectors below M that no earlier bracket
+filled, plus M itself, where it needs V and R^2 and keeps nothing.  Each
+entry is built locally and published by one assignment, so concurrent
+callers may fill a vector twice but always read equal series.
+
 The pi exponent is fixed by the grading, so the series run on bare
 Fractions, read from the memoized exact_arith.frak_slope, and pi is
 attached once per public call.  coefficient() is the rational hot-path
 entry used by the Wick and volume layers; its memo holds the coefficient
 of every multiset seen so far, keyed on the sorted multiset, and a miss
-sums the series once unless the exponent is odd, where the coefficient
-is 0.  A block's weights psi(beta, .)/(j! beta!) depend on beta only
-through (s, c, beta!) and are memoized on it across calls.
+at an odd exponent is 0, two parts read the closed form, and one part or
+more than two sum the series once.  A block's weights psi(beta, .)/(j!
+beta!) depend on beta only through (s, c, beta!) and are memoized on it
+across calls.
 """
 
 from __future__ import annotations
@@ -68,6 +91,9 @@ __all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
 
 # sorted multiset -> rational coefficient of pi^(|m| - n + 2)
 _CACHE: dict[tuple[int, ...], Fraction] = {}
+# sorted sub-multiset -> R^0 .. R^n at its count vector, n its number of
+# parts: the planted-tree table shared by every bracket (module docstring)
+_PLANTED: dict[tuple[int, ...], list] = {}
 # (s, c, beta!) -> block weights by number of children j: planted
 # psi(j+1)/(j! beta!) and rooted psi(j)/(j! beta!)
 _WEIGHTS: dict[tuple[int, int, int], tuple[list, list]] = {}
@@ -109,6 +135,8 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
 
     Vectors below M are numbered in mixed radix (last value fastest), so
     the vector a - b sits at position i - g when a sits at i and b at g.
+    R^j at a vector below M is read from _PLANTED when an earlier bracket
+    filled it, and published there otherwise.
     """
     values, mult = [], []
     for v, run in groupby(mm):
@@ -116,7 +144,6 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
         mult.append(len(list(run)))
     strides = [math.prod(k + 1 for k in mult[v + 1:]) for v in range(len(mult))]
     top = math.prod(k + 1 for k in mult) - 1
-    planted_r = [0] * (top + 1)      # R at each vector
     powers: list = [[1]]             # R^j at each vector below M, j = 0..|a|
     parity = [0] * (top + 1)         # S - C mod 2, which fixes the surviving j
     planted_w: list = [None]         # each vector's weights as a block, planted
@@ -130,12 +157,18 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
         planted, rooted = _weights(s, size, math.prod(map(math.factorial, a)), len(mm))
         planted_w.append(planted)
         rooted_w.append(rooted)
+        last = i == top
+        if not last:
+            key = sum(((v,) * x for v, x in zip(values, a)), ())
+            pw = _PLANTED.get(key)
+            if pw is not None:
+                powers.append(pw)
+                continue
         # positions of the vectors below a, from 0 up to i itself
         below = [0]
         for x, st in zip(a, strides):
             if x:
                 below = [g + t * st for g in below for t in range(x + 1)]
-        last = i == top
         w_of = rooted_w if last else planted_w
         pw = [0] * (3 if last else size + 1)
         acc = w_of[i][0]             # R (or V at M): the block a alone
@@ -143,7 +176,7 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
             h = i - g
             ph, ph_odd = powers[h], parity[h]
             # R^j at a: R at b = g times R^(j-1) at a - b
-            r = planted_r[g]
+            r = powers[g][1]
             if r:
                 for j in range(2 - ph_odd, min(len(ph), len(pw) - 1), 2):
                     pw[j + 1] += r * ph[j]
@@ -153,8 +186,9 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
                 for j in range(ph_odd, min(len(w), len(ph)), 2):
                     acc += w[j] * ph[j]
         if not last:
-            pw[1] = planted_r[i] = acc
+            pw[1] = acc
             powers.append(pw)
+            _PLANTED[key] = pw
     # the loop ends at M, with V there in acc and R^2 in pw[2]
     return -math.prod(math.factorial(k) for k in mult) * (acc - Fraction(pw[2], 2))
 
@@ -171,12 +205,19 @@ def coefficient(mm: tuple[int, ...]) -> Fraction:
     """Rational coefficient of single_bracket(mm) at pi^(|mm| - len(mm) + 2).
 
     mm must already be canonical: a nonempty tuple of positive ints sorted
-    in decreasing order.  Memoized; a miss at an even exponent sums the
-    tree series once, and at an odd one the coefficient is 0 by the grading.
+    in decreasing order.  Memoized; at an odd exponent the coefficient is 0
+    by the grading, two parts read the closed form in the slopes, and one
+    part or more than two sum the tree series once (module docstring).
     """
     q = _CACHE.get(mm)
     if q is None:
-        q = _CACHE[mm] = Fraction(0) if (sum(mm) - len(mm)) % 2 else _tree_sum(mm)
+        if (sum(mm) - len(mm)) % 2:
+            q = Fraction(0)
+        elif len(mm) == 2:
+            q = frak_slope(mm[0] + mm[1]) - frak_slope(mm[0]) * frak_slope(mm[1])
+        else:
+            q = _tree_sum(mm)
+        _CACHE[mm] = q
     return q
 
 
@@ -188,4 +229,5 @@ def single_bracket(m: Iterable[int]) -> PiValue:
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _PLANTED.clear()
     _WEIGHTS.clear()

@@ -36,10 +36,11 @@ scaled coefficients n! D_n L_k(n), where D_n, a product of odd primes,
 clears the Bernoulli denominators (_exp_series).  Its slopes
 c_j = j b(j - 1) are Bernoulli numbers, read from the memoized
 exact_arith.frak_slope and not from the bracket series; the tests
-keep the Fraction recurrence on bracket.coefficient((v,)) as the oracle
-of _exp_series.  A single zero, the minimal stratum H(k - 1) and the
-torus at k = 1, gives [y^(k+1)] exp(-k B) / (-k); two zeros share one
-block and give sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  In a
+keep the Fraction recurrence on the tree series bracket._tree_sum((v,))
+as the oracle of _exp_series.  A single zero, the minimal stratum
+H(k - 1) and the torus at k = 1, gives [y^(k+1)] exp(-k B) / (-k); two
+zeros share one block and give
+sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  In a
 principal stratum L_2(1) = 0 makes every zero a leaf handing up u = 2,
 and the sum is the one bracket b(2, ..., 2).
 

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -170,9 +172,102 @@ def test_symmetry_under_reordering(monkeypatch):
 
 
 def test_cache_clears():
-    v = single_bracket((2, 2))
+    # (2, 2) reads the closed form; (3, 3, 3) sums the series and fills
+    # the shared planted-tree table at (3,) and (3, 3)
+    v, w = single_bracket((2, 2)), single_bracket((3, 3, 3))
+    assert bracket._PLANTED
     clear_cache()
+    assert not bracket._CACHE and not bracket._PLANTED and not bracket._WEIGHTS
     assert single_bracket((2, 2)) == v
+    assert single_bracket((3, 3, 3)) == w
+
+
+def test_closed_forms_match_tree_sum_and_oracle():
+    # two parts read the slopes, odd gradings included; one part is summed
+    # by the tree series and equals c(v + 1)/(v + 1); the tree series and
+    # the set-partition sum stay the oracles
+    clear_cache()
+    cases = [(v,) for v in range(1, 61)]
+    cases += [(u, v) for u in range(1, 41) for v in range(1, u + 1)]
+    for m in cases:
+        q = bracket.coefficient(m)
+        assert type(q) is Fraction, m
+        assert q == bracket._tree_sum(m), m
+        exponent = sum(m) - len(m) + 2
+        lead = math.factorial(sum(m)) * frak_slope(exponent) / math.factorial(exponent)
+        assert q == lead + set_partition_error_term(m), m
+        if len(m) == 1:
+            assert q == frak_slope(m[0] + 1) / (m[0] + 1), m
+
+
+def shared_table_cases():
+    # 60 distinct multisets of 3-8 parts over at most 3 values from 1..5,
+    # so their sub-multisets overlap often
+    rng = random.Random(19)
+    cases = set()
+    while len(cases) < 60:
+        values = rng.sample(range(1, 6), rng.randint(1, 3))
+        n = rng.randint(max(3, len(values)), 8)
+        m = values + [rng.choice(values) for _ in range(n - len(values))]
+        cases.add(tuple(sorted(m, reverse=True)))
+    return sorted(cases)
+
+
+def test_shared_table_does_not_depend_on_order():
+    cases = shared_table_cases()
+    runs = []
+    for order in (cases, cases[::-1]):
+        clear_cache()
+        runs.append({m: bracket.coefficient(m) for m in order})
+    isolated = {}
+    for m in cases:
+        clear_cache()
+        isolated[m] = bracket.coefficient(m)
+    assert runs[0] == runs[1] == isolated
+    assert any(isolated.values())
+
+
+def test_shared_table_fills_only_new_vectors():
+    # every vector below M is kept, M itself is not: after (3^8) the table
+    # holds (3^1) .. (3^7), and (3^9) adds (3^8) alone
+    clear_cache()
+    assert bracket.coefficient((3,) * 8)
+    assert sorted(bracket._PLANTED) == [(3,) * n for n in range(1, 8)]
+    kept = dict(bracket._PLANTED)
+    assert bracket.coefficient((3,) * 9)
+    assert sorted(bracket._PLANTED) == [(3,) * n for n in range(1, 9)]
+    assert all(bracket._PLANTED[k] is v for k, v in kept.items())
+    # R^0 .. R^|a| at each kept vector
+    assert all(len(v) == len(k) + 1 for k, v in bracket._PLANTED.items())
+
+
+def test_shared_table_from_concurrent_threads():
+    # more threads than cores, switching often, each summing overlapping
+    # brackets into one table that starts empty; five rounds
+    cases = shared_table_cases()
+    clear_cache()
+    expected = {m: bracket.coefficient(m) for m in cases}
+    work = [cases[i::4] + cases[::-1] for i in range(4)]
+
+    def run(i):
+        barrier.wait()
+        results[i] = {m: bracket.coefficient(m) for m in work[i]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            clear_cache()
+            results = [None] * len(work)
+            barrier = threading.Barrier(len(work))
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_input_validation():

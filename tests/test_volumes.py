@@ -164,9 +164,10 @@ def support_sum(k):
 
 
 def oracle_exp_series(k, top):
-    # L_k(0..top) by the Fraction recurrence n E_n = -k sum_j j b(j-1) E_(n-j)
+    # L_k(0..top) by the Fraction recurrence n E_n = -k sum_j j b(j-1) E_(n-j),
+    # with b(v) summed by the tree series, not read off the slope memo
     slopes = [(v + 1, (v + 1) * b) for v in range(1, top)
-              if (b := bracket.coefficient((v,)))]
+              if (b := bracket._tree_sum((v,)))]
     e = [Fraction(1)] + [Fraction(0)] * top
     for n in range(1, top + 1):
         acc = Fraction(0)
@@ -203,7 +204,7 @@ def test_slope_table_growth_and_clear():
     for top in (0, 1, 2, 5, 6, 40, 41, 300):
         volumes._exp_series(3, top)
         assert slope.cache_info().currsize == top // 2
-    assert all(slope(j) == j * bracket.coefficient((j - 1,)) for j in range(2, 301, 2))
+    assert all(slope(j) == j * bracket._tree_sum((j - 1,)) for j in range(2, 301, 2))
     clear_caches()
     assert slope.cache_info().currsize == 0
 
@@ -376,7 +377,8 @@ def test_volume_result_fields():
 def test_clear_caches_empties_every_memo():
     # volumes skip capital_f and the Wick memo, so fill those directly
     memos = (exact_arith.bernoulli, exact_arith.frak_slope, f_expansion._capital_f_items)
-    tables = (bracket._CACHE, bracket._WEIGHTS, wick._CACHE, volumes._VOLUME_CACHE)
+    tables = (bracket._CACHE, bracket._PLANTED, bracket._WEIGHTS, wick._CACHE,
+              volumes._VOLUME_CACHE)
     clear_caches()
     volume(Stratum([2, 1, 1]))
     capital_f(3)
@@ -386,7 +388,7 @@ def test_clear_caches_empties_every_memo():
     assert exact_arith._TANGENTS
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
-    assert [len(t) for t in tables] == [0, 0, 0, 0]
+    assert [len(t) for t in tables] == [0, 0, 0, 0, 0]
     assert exact_arith._TANGENTS == ()
 
 
