@@ -32,17 +32,28 @@ zero shares its block with the parts q that its children hand up.
 
 One and two zeros are the first layer.  At x^0, E is B, and
 L_k(n) = [y^n] exp(-k B(y)) takes O(k^2) integer operations on the
-scaled coefficients n! D_n L_k(n), where D_n, a product of odd primes,
-clears the Bernoulli denominators (_exp_series).  Its slopes
+scaled coefficients A_n = n! D_n L_k(n), where D_n, a product of odd
+primes, clears the Bernoulli denominators (_exp_ints).  Its slopes
 c_j = j b(j - 1) are Bernoulli numbers, read from the memoized
 exact_arith.frak_slope and not from the bracket series; the tests
 keep the Fraction recurrence on the tree series bracket._tree_sum((v,))
-as the oracle of _exp_series.  A single zero, the minimal stratum
-H(k - 1) and the torus at k = 1, gives [y^(k+1)] exp(-k B) / (-k); two
-zeros share one block and give
-sum_{u,v} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v).  In a
-principal stratum L_2(1) = 0 makes every zero a leaf handing up u = 2,
-and the sum is the one bracket b(2, ..., 2).
+as the oracle of the Fraction view _exp_series.  A single zero, the
+minimal stratum H(k - 1) and the torus at k = 1, gives
+[y^(k+1)] exp(-k B) / (-k) = -A_(k+1) / (k (k+1)! D_(k+1)).
+
+Two zeros k1 >= k2 share one block and give
+sum_{u,v >= 1} b(u, v) L_{k1}(k1 - u) L_{k2}(k2 - v), which needs no
+bracket: a tree on two blocks has one edge, so b(u, v) = c_(u+v) - c_u c_v
+(bracket docstring), and the recurrence of L_k at n = k,
+sum_u c_u L_k(k - u) = -L_k(k), folds the product part into
+L_{k1}(k1) L_{k2}(k2).  What is left is sum_s c_s Z_s over the
+convolution Z of X_u = k1! D_k1 L_{k1}(k1 - u) = A_(k1-u) k1! D_k1 /
+((k1 - u)! D_(k1-u)) with the matching Y of k2, all integers
+(_two_zero_sum); the slopes share one denominator and one Fraction is
+built at the end.  The hypertree loop stays callable on two zeros as
+its oracle, and sums three or more.  In a principal stratum L_2(1) = 0
+makes every zero a leaf handing up u = 2, and the sum is the one
+bracket b(2, ..., 2).
 
 The genus-1 edge cases H() and H(0, ..., 0) are normalized through
 c_value((1,)) = pi^2/6, giving the torus volume pi^2/3.
@@ -188,7 +199,7 @@ _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
 
 def _odd_prime_steps(top: int) -> list[int]:
     """D_n / D_(n-1) for n = 0 .. top (1 at n = 0): the product of the odd
-    primes p with (p - 1) | n (_exp_series)."""
+    primes p with (p - 1) | n (_exp_ints)."""
     step = [1] * (top + 1)
     composite = bytearray(top + 2)
     for p in range(3, top + 2, 2):
@@ -199,8 +210,9 @@ def _odd_prime_steps(top: int) -> list[int]:
     return step
 
 
-def _exp_series(k: int, top: int) -> list[Fraction]:
-    """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)) (module docstring).
+def _exp_ints(k: int, top: int, step: list[int]) -> tuple[list[int], list[int]]:
+    """The integers A_n = n! D_n L_k(n) and the scales n! D_n for
+    n = 0 .. top, with step = _odd_prime_steps(t) for some t >= top.
 
     E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
     n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1).  b(j - 1) is one
@@ -213,21 +225,17 @@ def _exp_series(k: int, top: int) -> list[Fraction]:
 
     By von Staudt-Clausen, c_j = +-2 (2^(j-1) - 1) B_j has the squarefree
     odd denominator prod {p : (p - 1) | j}, which divides D_n/D_(n-j), so
-    every term is an integer; a remainder raises ArithmeticError.  Each
-    coefficient becomes a Fraction once.  The tests check the result
-    against the Fraction recurrence on the brackets b(v).
+    every term is an integer; a remainder raises ArithmeticError.
     """
     # c_j vanishes for odd j, so every n with E_n != 0 is even.  The
     # largest B_j first, so a cold call builds one tangent table.
     exact_arith.bernoulli(top - top % 2)
     slopes = [(j, c.numerator, c.denominator) for j in range(2, top + 1, 2)
               for c in (frak_slope(j),)]
-    step = _odd_prime_steps(top)
     a = [1] + [0] * top
-    e = [Fraction(1)] + [Fraction(0)] * top
-    scale = 1  # n! D_n
+    scales = [1] * (top + 1)
     for n in range(1, top + 1):
-        scale *= n * step[n]
+        scales[n] = scales[n - 1] * n * step[n]
         if n % 2:
             continue
         # w = D_n/D_(n-j) * (n-1)!/(n-j)!, stepped up from j = 1
@@ -243,8 +251,60 @@ def _exp_series(k: int, top: int) -> list[Fraction]:
                 raise ArithmeticError(f"c_{j} * D_{n}/D_{n - j} is not an integer")
             acc += num * q * a[n - j]
         a[n] = -k * acc
-        e[n] = Fraction(a[n], scale)
-    return e
+    return a, scales
+
+
+def _exp_series(k: int, top: int) -> list[Fraction]:
+    """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)) (module
+    docstring): the integers of _exp_ints, each made a Fraction once.  The
+    hypertree loop reads them, and the tests check them against the
+    Fraction recurrence on the brackets b(v)."""
+    a, scales = _exp_ints(k, top, _odd_prime_steps(top))
+    return [Fraction(x, s) if x else Fraction(0) for x, s in zip(a, scales)]
+
+
+def _two_zero_sum(k1: int, k2: int) -> Fraction:
+    """_hypertree_sum((k1, k2)) for k1 >= k2 >= 1, on the integers (module
+    docstring).
+
+    With X_u = k1! D_k1 L_k1(k1 - u), Y_v = k2! D_k2 L_k2(k2 - v) and
+    Z_s = sum_(u+v=s) X_u Y_v over u, v >= 1, the sum is
+
+        (sum_s c_s Z_s - X_0 Y_0) / (k1! D_k1 k2! D_k2).
+
+    The slopes c_s are summed over the common denominator Q, the lcm of
+    the steps up to k1 + k2; a slope whose denominator does not divide Q
+    raises ArithmeticError.  One sieve serves both series, and one series
+    both zeros when k1 == k2.
+    """
+    if (k1 + k2) % 2:
+        return Fraction(0)  # odd grading
+    top = k1 + k2
+    exact_arith.bernoulli(top)  # the largest B_s first: one tangent table
+    step = _odd_prime_steps(top)
+    sides = {}
+    for k in (k1, k2):
+        if k not in sides:
+            a, scales = _exp_ints(k, k, step)
+            # X_u = A_(k-u) * k!/(k-u)! * D_k/D_(k-u), stepped up from u = 0
+            x, ratio = [a[k]], 1
+            for u in range(1, k + 1):
+                ratio *= (k - u + 1) * step[k - u + 1]
+                x.append(a[k - u] * ratio)
+            sides[k] = x, scales[k]
+    (x, scale1), (y, scale2) = sides[k1], sides[k2]
+    common = math.lcm(*step[2::2])
+    total = -common * x[0] * y[0]
+    # c_s vanishes for odd s, and X_u for odd k1 - u
+    for s in range(2, top + 1, 2):
+        c = frak_slope(s)
+        q, r = divmod(common, c.denominator)
+        if r:
+            raise ArithmeticError(f"the denominator of c_{s} does not divide Q")
+        lo = max(1, s - k2)
+        z = sum(x[u] * y[s - u] for u in range(lo + (k1 - lo) % 2, min(k1, s - 1) + 1, 2))
+        total += c.numerator * q * z
+    return Fraction(total, common * scale1 * scale2)
 
 
 def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
@@ -265,7 +325,8 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
     target[0] -= 1
     k0 = degrees[0]
     if not any(target):
-        return _exp_series(k0, k0 + 1)[k0 + 1] / -k0
+        a, scales = _exp_ints(k0, k0 + 1, _odd_prime_steps(k0 + 1))
+        return Fraction(-a[k0 + 1], k0 * scales[k0 + 1])
     strides = [math.prod(t + 1 for t in target[d + 1:]) for d in range(len(target))]
     top = math.prod(t + 1 for t in target) - 1
     exps: list = [[_exp_series(k, k - 1) for k in degrees]]  # exp(-k_d E), by d
@@ -333,10 +394,11 @@ def c_value(m: Iterable[int]) -> PiValue:
     """Normalized correlator of the incremented degree multiset.
 
     m must be a nonempty multiset of positive integers.  Not memoized
-    itself: volume() keeps each stratum's value, and the brackets the
-    series reads are memoized in bracket.  Any number of zeros is one
-    hypertree series (module docstring), whose first layer is the one- and
-    two-zero closed forms; pi is attached once.
+    itself: volume() keeps each stratum's value.  One zero reads the
+    integer exp(-k B) series at y^(k+1), two zeros are one integer
+    convolution of two such series (_two_zero_sum), and three or more run
+    the hypertree loop, whose brackets are memoized in bracket (module
+    docstring); pi is attached once.
     """
     key = tuple(sorted((int(v) for v in m), reverse=True))
     if not key:
@@ -344,8 +406,9 @@ def c_value(m: Iterable[int]) -> PiValue:
     if key[-1] <= 0:
         raise ValueError(f"entries must be positive: {key}")
     denom = math.factorial(sum(key)) * math.prod(key)
+    total = _two_zero_sum(*key) if len(key) == 2 else _hypertree_sum(key)
     # the sum is a monomial in pi^(|a| - n + 2), by grading
-    return PiValue(_hypertree_sum(key) / denom, sum(key) - len(key) + 2)
+    return PiValue(total / denom, sum(key) - len(key) + 2)
 
 
 def prediction(s: StratumLike) -> Fraction:

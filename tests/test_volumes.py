@@ -267,6 +267,52 @@ def test_exp_series_checks_its_integer_division(monkeypatch):
         volumes._exp_series(5, 6)
 
 
+TWO_ZERO_KEYS = [(k1, k2) for k1 in range(1, 41) for k2 in range(1, k1 + 1)] + [
+    (60, 60), (120, 120), (81, 37)]
+
+
+def test_two_zero_convolution_matches_hypertree_loop():
+    # both parities of k1 + k2; the loop over the lattice of brackets b(u, v)
+    # stays callable on two zeros as the oracle
+    clear_caches()
+    for k1, k2 in TWO_ZERO_KEYS:
+        value = volumes._two_zero_sum(k1, k2)
+        expected = volumes._hypertree_sum((k1, k2))
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (
+            expected.numerator, expected.denominator), (k1, k2)
+        assert c_value((k2, k1)) == PiValue(
+            expected / (math.factorial(k1 + k2) * k1 * k2), k1 + k2), (k1, k2)
+
+
+def test_two_zero_layer_reads_no_bracket(monkeypatch):
+    def refuse(mm):
+        raise AssertionError(f"bracket read for {mm}")
+
+    monkeypatch.setattr(bracket, "coefficient", refuse)
+    monkeypatch.setattr(bracket, "_tree_sum", refuse)
+    clear_caches()
+    for k1, k2 in TWO_ZERO_KEYS:
+        if (k1 + k2) % 2 == 0:
+            assert volume([k1 - 1, k2 - 1], max_weight=k1 + k2).pi_exponent == k1 + k2
+
+
+def test_two_zero_convolution_checks_its_common_denominator(monkeypatch):
+    # the slopes c_12 .. c_20 of H(9, 9) bring the primes 13, 17 and 19,
+    # which only the steps above 10 carry; both series stop at y^10
+    steps = volumes._odd_prime_steps
+    monkeypatch.setattr(volumes, "_odd_prime_steps",
+                        lambda top: [s if n <= 10 else 1 for n, s in enumerate(steps(top))])
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        volumes._two_zero_sum(10, 10)
+    monkeypatch.undo()
+    # a slope beyond the primes up to k1 + k2 + 1
+    slope = exact_arith.frak_slope
+    monkeypatch.setattr(volumes, "frak_slope", lambda s: slope(s) / (23 if s > 10 else 1))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        volumes._two_zero_sum(10, 10)
+
+
 def test_volume_result_pi_exponent_of_zero_is_none():
     st = Stratum([2])
     res = VolumeResult(st, PiValue.zero(), prediction(st), Decimal(-1), 0.0)
