@@ -36,6 +36,8 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Union
 
 __all__ = [
@@ -216,6 +218,43 @@ def _tangent(n: int) -> int:
     return table[n]
 
 
+# D_0 .. D_(len - 1), D_n = prod p^floor(n/(p-1)) over the odd primes p;
+# empty until a scale is asked for
+_ODD_SCALES: tuple[int, ...] = ()
+
+
+def exact_quotient(n: int, d: int, what: str) -> int:
+    """n / d for an integer quotient; a remainder raises ArithmeticError(what)."""
+    q, r = divmod(n, d)
+    if r:
+        raise ArithmeticError(what)
+    return q
+
+
+def _odd_prime_steps(top: int) -> list[int]:
+    """D_n / D_(n-1) for n = 0 .. top (1 at n = 0): the product of the odd
+    primes p with (p - 1) | n."""
+    step = [1] * (top + 1)
+    composite = bytearray(top + 2)
+    for p in range(3, top + 2, 2):
+        if not composite[p]:
+            composite[p * p::2 * p] = bytes([1]) * len(range(p * p, top + 2, 2 * p))
+            for n in range(p - 1, top + 1, p - 1):
+                step[n] *= p
+    return step
+
+
+def odd_scales(n: int) -> tuple[int, ...]:
+    """D_0 .. D_m for some m >= n.  D_k clears the denominator of
+    frak_slope(k) (von Staudt-Clausen) and D_(x+y) / (D_x D_y) is an
+    integer.  Grown by doubling and published by one assignment."""
+    global _ODD_SCALES
+    table = _ODD_SCALES
+    if n >= len(table):
+        table = _ODD_SCALES = tuple(accumulate(_odd_prime_steps(max(n, 2 * len(table))), mul))
+    return table
+
+
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the B_1 = -1/2 convention.
@@ -267,8 +306,9 @@ def frak_z(k: int) -> PiValue:
 
 
 def clear_cache() -> None:
-    """Drop the tangent table and the Bernoulli and slope memos."""
-    global _TANGENTS
-    _TANGENTS = ()
+    """Drop the tangent and odd-prime tables and the Bernoulli and slope
+    memos."""
+    global _TANGENTS, _ODD_SCALES
+    _TANGENTS = _ODD_SCALES = ()
     bernoulli.cache_clear()
     frak_slope.cache_clear()

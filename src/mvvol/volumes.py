@@ -35,10 +35,8 @@ L_k(n) = [y^n] exp(-k B(y)) takes O(k^2) integer operations on the
 scaled coefficients A_n = n! D_n L_k(n), where D_n, a product of odd
 primes, clears the Bernoulli denominators (_exp_ints).  Its slopes
 c_j = j b(j - 1) are Bernoulli numbers, read from the memoized
-exact_arith.frak_slope and not from the bracket series; the tests
-keep the Fraction recurrence on the tree series bracket._tree_sum((v,))
-as the oracle of the Fraction view _exp_series.  A single zero, the
-minimal stratum H(k - 1) and the torus at k = 1, gives
+exact_arith.frak_slope.  A single zero, the minimal stratum H(k - 1) and
+the torus at k = 1, gives
 [y^(k+1)] exp(-k B) / (-k) = -A_(k+1) / (k (k+1)! D_(k+1)).
 
 Two zeros k1 >= k2 share one block and give
@@ -50,10 +48,10 @@ L_{k1}(k1) L_{k2}(k2).  What is left is sum_s c_s Z_s over the
 convolution Z of X_u = k1! D_k1 L_{k1}(k1 - u) = A_(k1-u) k1! D_k1 /
 ((k1 - u)! D_(k1-u)) with the matching Y of k2, all integers
 (_two_zero_sum); the slopes share one denominator and one Fraction is
-built at the end.  The hypertree loop stays callable on two zeros as
-its oracle, and sums three or more.  In a principal stratum L_2(1) = 0
-makes every zero a leaf handing up u = 2, and the sum is the one
-bracket b(2, ..., 2).
+built at the end.  The hypertree loop sums three or more zeros and
+stays callable on two as their oracle.  In a principal stratum
+L_2(1) = 0 makes every zero a leaf handing up u = 2, and the sum is the
+one bracket b(2, ..., 2), which c_value reads (the loop is its oracle).
 
 The genus-1 edge cases H() and H(0, ..., 0) are normalized through
 c_value((1,)) = pi^2/6, giving the torus volume pi^2/3.
@@ -90,7 +88,7 @@ from typing import Iterable, Optional, Union
 
 from . import bracket, exact_arith, f_expansion, wick
 from .combinatorics import Partition, partitions_of_size
-from .exact_arith import PiValue, frak_slope
+from .exact_arith import PiValue, exact_quotient, frak_slope
 
 __all__ = [
     "InvalidStratumError",
@@ -197,35 +195,19 @@ class VolumeResult:
 _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
 
 
-def _odd_prime_steps(top: int) -> list[int]:
-    """D_n / D_(n-1) for n = 0 .. top (1 at n = 0): the product of the odd
-    primes p with (p - 1) | n (_exp_ints)."""
-    step = [1] * (top + 1)
-    composite = bytearray(top + 2)
-    for p in range(3, top + 2, 2):
-        if not composite[p]:
-            composite[p * p::2 * p] = bytes([1]) * len(range(p * p, top + 2, 2 * p))
-            for n in range(p - 1, top + 1, p - 1):
-                step[n] *= p
-    return step
-
-
 def _exp_ints(k: int, top: int, step: list[int]) -> tuple[list[int], list[int]]:
     """The integers A_n = n! D_n L_k(n) and the scales n! D_n for
-    n = 0 .. top, with step = _odd_prime_steps(t) for some t >= top.
+    n = 0 .. top, with step = exact_arith._odd_prime_steps(t), t >= top.
 
     E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
-    n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1).  b(j - 1) is one
-    block with no correction, (j - 1)! z(j), so c_j = j! z(j) =
-    frak_slope(j), nonzero for every even j >= 2 and zero for odd j.  The
-    recurrence runs on the integers A_n = n! D_n E_n, where D_n is the
-    product over the odd primes p of p^floor(n/(p-1)):
+    n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1) = frak_slope(j),
+    zero for odd j.  On A_n = n! D_n E_n, with D_n of exact_arith.odd_scales,
 
         A_n = -k * sum_j (c_j D_n/D_(n-j)) * (n-1)!/(n-j)! * A_(n-j).
 
-    By von Staudt-Clausen, c_j = +-2 (2^(j-1) - 1) B_j has the squarefree
-    odd denominator prod {p : (p - 1) | j}, which divides D_n/D_(n-j), so
-    every term is an integer; a remainder raises ArithmeticError.
+    The odd squarefree denominator of c_j divides D_n/D_(n-j) (von
+    Staudt-Clausen), so every term is an integer; a remainder raises
+    ArithmeticError.
     """
     # c_j vanishes for odd j, so every n with E_n != 0 is even.  The
     # largest B_j first, so a cold call builds one tangent table.
@@ -246,20 +228,15 @@ def _exp_ints(k: int, top: int, step: list[int]) -> tuple[list[int], list[int]]:
             while i < j:
                 w *= (n - i) * step[n - i]
                 i += 1
-            q, r = divmod(w, den)
-            if r:
-                raise ArithmeticError(f"c_{j} * D_{n}/D_{n - j} is not an integer")
-            acc += num * q * a[n - j]
+            acc += num * exact_quotient(w, den, "c_j D_n/D_(n-j) is not an integer") * a[n - j]
         a[n] = -k * acc
     return a, scales
 
 
 def _exp_series(k: int, top: int) -> list[Fraction]:
-    """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)) (module
-    docstring): the integers of _exp_ints, each made a Fraction once.  The
-    hypertree loop reads them, and the tests check them against the
-    Fraction recurrence on the brackets b(v)."""
-    a, scales = _exp_ints(k, top, _odd_prime_steps(top))
+    """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)): the integers of
+    _exp_ints, each made a Fraction once, for the hypertree loop."""
+    a, scales = _exp_ints(k, top, exact_arith._odd_prime_steps(top))
     return [Fraction(x, s) if x else Fraction(0) for x, s in zip(a, scales)]
 
 
@@ -281,7 +258,7 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
         return Fraction(0)  # odd grading
     top = k1 + k2
     exact_arith.bernoulli(top)  # the largest B_s first: one tangent table
-    step = _odd_prime_steps(top)
+    step = exact_arith._odd_prime_steps(top)
     sides = {}
     for k in (k1, k2):
         if k not in sides:
@@ -298,9 +275,7 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
     # c_s vanishes for odd s, and X_u for odd k1 - u
     for s in range(2, top + 1, 2):
         c = frak_slope(s)
-        q, r = divmod(common, c.denominator)
-        if r:
-            raise ArithmeticError(f"the denominator of c_{s} does not divide Q")
+        q = exact_quotient(common, c.denominator, "the denominator of a c_s does not divide Q")
         lo = max(1, s - k2)
         z = sum(x[u] * y[s - u] for u in range(lo + (k1 - lo) % 2, min(k1, s - 1) + 1, 2))
         total += c.numerator * q * z
@@ -325,7 +300,7 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
     target[0] -= 1
     k0 = degrees[0]
     if not any(target):
-        a, scales = _exp_ints(k0, k0 + 1, _odd_prime_steps(k0 + 1))
+        a, scales = _exp_ints(k0, k0 + 1, exact_arith._odd_prime_steps(k0 + 1))
         return Fraction(-a[k0 + 1], k0 * scales[k0 + 1])
     strides = [math.prod(t + 1 for t in target[d + 1:]) for d in range(len(target))]
     top = math.prod(t + 1 for t in target) - 1
@@ -396,8 +371,9 @@ def c_value(m: Iterable[int]) -> PiValue:
     m must be a nonempty multiset of positive integers.  Not memoized
     itself: volume() keeps each stratum's value.  One zero reads the
     integer exp(-k B) series at y^(k+1), two zeros are one integer
-    convolution of two such series (_two_zero_sum), and three or more run
-    the hypertree loop, whose brackets are memoized in bracket (module
+    convolution of two such series (_two_zero_sum), a principal stratum
+    (every entry 2) is the one bracket b(2, ..., 2), and the rest run the
+    hypertree loop, whose brackets are memoized in bracket (module
     docstring); pi is attached once.
     """
     key = tuple(sorted((int(v) for v in m), reverse=True))
@@ -406,7 +382,12 @@ def c_value(m: Iterable[int]) -> PiValue:
     if key[-1] <= 0:
         raise ValueError(f"entries must be positive: {key}")
     denom = math.factorial(sum(key)) * math.prod(key)
-    total = _two_zero_sum(*key) if len(key) == 2 else _hypertree_sum(key)
+    if len(key) == 2:
+        total = _two_zero_sum(*key)
+    elif key[0] == key[-1] == 2:
+        total = bracket.coefficient(key)
+    else:
+        total = _hypertree_sum(key)
     # the sum is a monomial in pi^(|a| - n + 2), by grading
     return PiValue(total / denom, sum(key) - len(key) + 2)
 

@@ -1,0 +1,118 @@
+"""Reference sums the tests check the package against.
+
+tree_sum is the bracket series of mvvol.bracket (module docstring there),
+
+    coefficient(m) = -M! [x^M] (V - R^2/2),
+
+summed on Fractions for any canonical multiset, one part included, with
+block weights psi(beta, .)/(j! beta!) as Fractions.  The package sums the
+same series on integers scaled per count vector; this is the view it is
+checked against bit for bit.  The series R^j at the vectors below M are
+kept in this module's own table, keyed on the sub-multiset a vector
+stands for, so a test can sum many related brackets; clear() empties it.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import groupby, product
+from operator import mul
+
+from mvvol.exact_arith import frak_slope
+
+# sorted sub-multiset -> R^0 .. R^n at its count vector, n its number of parts
+_SERIES: dict[tuple[int, ...], list] = {}
+# (s, c, beta!) -> block weights by number of children j: planted
+# psi(j+1)/(j! beta!) and rooted psi(j)/(j! beta!)
+_WEIGHTS: dict[tuple[int, int, int], tuple[list, list]] = {}
+
+
+def clear() -> None:
+    _SERIES.clear()
+    _WEIGHTS.clear()
+
+
+def _weights(s: int, c: int, fact: int, n: int) -> tuple[list, list]:
+    """Weights of a block with j children in a tree, divided by beta!.
+
+    The block has sum s, size c and beta! = fact.  Planted (one more edge,
+    to the parent): psi(j + 1)/(j! beta!); rooted: psi(j)/(j! beta!), with
+    psi(d) = -s! * z(s - c - d + 2).  In a multiset of n parts a block has
+    at most n - c children, and z vanishes at odd or negative arguments, so
+    the lists stop there and hold int 0 at the wrong parity.  The memo is
+    rebuilt longer when a larger multiset needs more.
+    """
+    w = _WEIGHTS.get((s, c, fact))
+    top = s - c + 2
+    if w is None or len(w[1]) <= min(n - c, top):
+        psi = [-math.factorial(s) * frak_slope(top - d) / (fact * math.factorial(top - d))
+               if (top - d) % 2 == 0 else 0 for d in range(min(n - c, top) + 1)]
+        w = _WEIGHTS[(s, c, fact)] = (
+            [q and q / math.factorial(j - 1) for j, q in enumerate(psi[1:], 1)],
+            [q and q / math.factorial(j) for j, q in enumerate(psi)],
+        )
+    return w
+
+
+def tree_sum(mm: tuple[int, ...]) -> Fraction:
+    """-M! [x^M] (V - R^2/2) for the canonical multiset mm, on Fractions.
+
+    Vectors below M are numbered in mixed radix (last value fastest), so
+    the vector a - b sits at position i - g when a sits at i and b at g.
+    R^j at a vector below M is read from _SERIES when an earlier call
+    filled it, and kept there otherwise.
+    """
+    values, mult = [], []
+    for v, run in groupby(mm):
+        values.append(v)
+        mult.append(len(list(run)))
+    strides = [math.prod(k + 1 for k in mult[v + 1:]) for v in range(len(mult))]
+    top = math.prod(k + 1 for k in mult) - 1
+    powers: list = [[1]]             # R^j at each vector below M, j = 0..|a|
+    parity = [0] * (top + 1)         # S - C mod 2, which fixes the surviving j
+    planted_w: list = [None]         # each vector's weights as a block, planted
+    rooted_w: list = [None]          # and rooted, by its number of children
+    vectors = product(*(range(k + 1) for k in mult))
+    next(vectors)                    # the zero vector, where R = 0 and R^0 = 1
+    for i, a in enumerate(vectors, 1):
+        size = sum(a)
+        s = sum(map(mul, a, values))
+        parity[i] = odd = (s - size) & 1
+        planted, rooted = _weights(s, size, math.prod(map(math.factorial, a)), len(mm))
+        planted_w.append(planted)
+        rooted_w.append(rooted)
+        last = i == top
+        if not last:
+            key = sum(((v,) * x for v, x in zip(values, a)), ())
+            pw = _SERIES.get(key)
+            if pw is not None:
+                powers.append(pw)
+                continue
+        # positions of the vectors below a, from 0 up to i itself
+        below = [0]
+        for x, st in zip(a, strides):
+            if x:
+                below = [g + t * st for g in below for t in range(x + 1)]
+        w_of = rooted_w if last else planted_w
+        pw = [0] * (3 if last else size + 1)
+        acc = w_of[i][0]             # R (or V at M): the block a alone
+        for g in below[1:-1]:
+            h = i - g
+            ph, ph_odd = powers[h], parity[h]
+            # R^j at a: R at b = g times R^(j-1) at a - b
+            r = powers[g][1]
+            if r:
+                for j in range(2 - ph_odd, min(len(ph), len(pw) - 1), 2):
+                    pw[j + 1] += r * ph[j]
+            # R (or V at M): block b = g above the trees at a - b
+            if odd or last:
+                w = w_of[g]
+                for j in range(ph_odd, min(len(w), len(ph)), 2):
+                    acc += w[j] * ph[j]
+        if not last:
+            pw[1] = acc
+            powers.append(pw)
+            _SERIES[key] = pw
+    # the loop ends at M, with V there in acc and R^2 in pw[2]
+    return -math.prod(math.factorial(k) for k in mult) * (acc - Fraction(pw[2], 2))

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from mvvol import bracket
+import oracles
+from mvvol import bracket, exact_arith, volumes
 from mvvol.bracket import clear_cache, error_term, single_bracket
 from mvvol.combinatorics import nonneg_compositions, partitions_of_size, set_partitions
 from mvvol.exact_arith import PiValue, frak_slope, frak_z
@@ -183,21 +184,85 @@ def test_cache_clears():
 
 
 def test_closed_forms_match_tree_sum_and_oracle():
-    # two parts read the slopes, odd gradings included; one part is summed
-    # by the tree series and equals c(v + 1)/(v + 1); the tree series and
-    # the set-partition sum stay the oracles
+    # one and two parts read the slopes, odd gradings included; the Fraction
+    # tree series and the set-partition sum stay the oracles
     clear_cache()
+    oracles.clear()
     cases = [(v,) for v in range(1, 61)]
     cases += [(u, v) for u in range(1, 41) for v in range(1, u + 1)]
     for m in cases:
         q = bracket.coefficient(m)
         assert type(q) is Fraction, m
-        assert q == bracket._tree_sum(m), m
+        assert q == oracles.tree_sum(m), m
         exponent = sum(m) - len(m) + 2
         lead = math.factorial(sum(m)) * frak_slope(exponent) / math.factorial(exponent)
         assert q == lead + set_partition_error_term(m), m
-        if len(m) == 1:
-            assert q == frak_slope(m[0] + 1) / (m[0] + 1), m
+
+
+def same_fraction(a, b):
+    return type(a) is type(b) is Fraction and (a.numerator, a.denominator) == (
+        b.numerator, b.denominator)
+
+
+def test_integer_series_matches_fraction_oracle():
+    # every multiset of two or more parts with |m| <= 14, then (2^n) for
+    # n <= 30, summed into one shared table in that order
+    cases = [tuple(sorted(p, reverse=True)) for s in range(2, 15)
+             for p in partitions_of_size(s) if len(p) >= 2]
+    cases += [(2,) * n for n in range(2, 31)]
+    clear_cache()
+    oracles.clear()
+    for m in cases:
+        assert same_fraction(bracket._tree_sum(m), oracles.tree_sum(m)), m
+        assert bracket.coefficient(m) == oracles.tree_sum(m), m
+
+
+def test_integer_series_matches_oracle_on_shared_cases_in_both_orders():
+    cases = shared_table_cases()
+    for order in (cases, cases[::-1]):
+        clear_cache()
+        oracles.clear()
+        for m in order:
+            assert same_fraction(bracket._tree_sum(m), oracles.tree_sum(m)), m
+
+
+def test_integer_series_matches_oracle_on_requested_brackets(monkeypatch):
+    # every bracket that cold H(2^30), H(3^12) and H(2^8,1^8) request
+    requested = {}
+    read = bracket.coefficient
+
+    def record(mm):
+        q = requested[mm] = read(mm)
+        return q
+
+    monkeypatch.setattr(bracket, "coefficient", record)
+    for stratum in ([2] * 30, [3] * 12, [2] * 8 + [1] * 8):
+        volumes.clear_caches()
+        assert volumes.volume(stratum, max_weight=100).value
+    assert len(requested) > 600
+    assert max(map(len, requested)) == 30
+    oracles.clear()
+    for mm, q in requested.items():
+        assert same_fraction(q, oracles.tree_sum(mm)), mm
+
+
+def test_tree_sum_takes_two_or_more_parts():
+    with pytest.raises(ValueError, match="two or more parts"):
+        bracket._tree_sum((5,))
+
+
+def test_tree_sum_checks_its_integer_division(monkeypatch):
+    # without the odd-prime scales D_n, c_2 = 1/3 no longer divides out,
+    # and the series refuses rather than rounding
+    volumes.clear_caches()
+    monkeypatch.setattr(exact_arith, "_odd_prime_steps", lambda top: [1] * (top + 1))
+    try:
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            bracket._tree_sum((2, 2, 2))
+    finally:
+        monkeypatch.undo()
+        volumes.clear_caches()
+    assert bracket._tree_sum((2, 2, 2, 2)) == Fraction(1792, 27)
 
 
 def shared_table_cases():

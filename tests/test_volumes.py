@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+import oracles
 from mvvol import bracket, exact_arith, f_expansion, volumes, wick
 from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
@@ -165,9 +166,9 @@ def support_sum(k):
 
 def oracle_exp_series(k, top):
     # L_k(0..top) by the Fraction recurrence n E_n = -k sum_j j b(j-1) E_(n-j),
-    # with b(v) summed by the tree series, not read off the slope memo
+    # with b(v) summed by the Fraction tree series, not read off the slope memo
     slopes = [(v + 1, (v + 1) * b) for v in range(1, top)
-              if (b := bracket._tree_sum((v,)))]
+              if (b := oracles.tree_sum((v,)))]
     e = [Fraction(1)] + [Fraction(0)] * top
     for n in range(1, top + 1):
         acc = Fraction(0)
@@ -204,7 +205,7 @@ def test_slope_table_growth_and_clear():
     for top in (0, 1, 2, 5, 6, 40, 41, 300):
         volumes._exp_series(3, top)
         assert slope.cache_info().currsize == top // 2
-    assert all(slope(j) == j * bracket._tree_sum((j - 1,)) for j in range(2, 301, 2))
+    assert all(slope(j) == j * oracles.tree_sum((j - 1,)) for j in range(2, 301, 2))
     clear_caches()
     assert slope.cache_info().currsize == 0
 
@@ -262,7 +263,7 @@ def test_one_zero_layer_sums_no_bracket_series(monkeypatch):
 def test_exp_series_checks_its_integer_division(monkeypatch):
     # without the odd-prime scaling D_n, c_2 = 2 b(1) = 1/3 no longer
     # divides out, and the series refuses rather than rounding
-    monkeypatch.setattr(volumes, "_odd_prime_steps", lambda top: [1] * (top + 1))
+    monkeypatch.setattr(exact_arith, "_odd_prime_steps", lambda top: [1] * (top + 1))
     with pytest.raises(ArithmeticError, match="not an integer"):
         volumes._exp_series(5, 6)
 
@@ -300,8 +301,8 @@ def test_two_zero_layer_reads_no_bracket(monkeypatch):
 def test_two_zero_convolution_checks_its_common_denominator(monkeypatch):
     # the slopes c_12 .. c_20 of H(9, 9) bring the primes 13, 17 and 19,
     # which only the steps above 10 carry; both series stop at y^10
-    steps = volumes._odd_prime_steps
-    monkeypatch.setattr(volumes, "_odd_prime_steps",
+    steps = exact_arith._odd_prime_steps
+    monkeypatch.setattr(exact_arith, "_odd_prime_steps",
                         lambda top: [s if n <= 10 else 1 for n, s in enumerate(steps(top))])
     with pytest.raises(ArithmeticError, match="does not divide"):
         volumes._two_zero_sum(10, 10)
@@ -311,6 +312,23 @@ def test_two_zero_convolution_checks_its_common_denominator(monkeypatch):
     monkeypatch.setattr(volumes, "frak_slope", lambda s: slope(s) / (23 if s > 10 else 1))
     with pytest.raises(ArithmeticError, match="does not divide"):
         volumes._two_zero_sum(10, 10)
+
+
+def test_principal_stratum_reads_one_bracket(monkeypatch):
+    # c_value of (2, ..., 2) is the bracket b(2, ..., 2); the hypertree
+    # loop stays its oracle
+    clear_caches()
+    for n in range(1, 15):
+        key = (2,) * n
+        expected = volumes._hypertree_sum(key)
+        assert c_value(key) == PiValue(expected / (math.factorial(2 * n) * 2**n), n + 2), n
+
+    def refuse(key):
+        raise AssertionError(f"hypertree loop summed for {key}")
+
+    monkeypatch.setattr(volumes, "_hypertree_sum", refuse)
+    clear_caches()
+    assert volume([1] * 20, max_weight=40).pi_exponent == 22
 
 
 def test_volume_result_pi_exponent_of_zero_is_none():
@@ -425,17 +443,18 @@ def test_clear_caches_empties_every_memo():
     memos = (exact_arith.bernoulli, exact_arith.frak_slope, f_expansion._capital_f_items)
     tables = (bracket._CACHE, bracket._PLANTED, bracket._WEIGHTS, wick._CACHE,
               volumes._VOLUME_CACHE)
+    # H(2, 1, 1) sums two bracket series, which read the odd-prime scales
     clear_caches()
     volume(Stratum([2, 1, 1]))
     capital_f(3)
     multi_bracket([(1, 1), (2,)])
     assert all(m.cache_info().currsize > 0 for m in memos)
     assert all(tables)
-    assert exact_arith._TANGENTS
+    assert exact_arith._TANGENTS and exact_arith._ODD_SCALES
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
     assert [len(t) for t in tables] == [0, 0, 0, 0, 0]
-    assert exact_arith._TANGENTS == ()
+    assert exact_arith._TANGENTS == exact_arith._ODD_SCALES == ()
 
 
 def test_relative_error_frozen():
