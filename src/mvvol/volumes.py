@@ -48,10 +48,27 @@ L_{k1}(k1) L_{k2}(k2).  What is left is sum_s c_s Z_s over the
 convolution Z of X_u = k1! D_k1 L_{k1}(k1 - u) = A_(k1-u) k1! D_k1 /
 ((k1 - u)! D_(k1-u)) with the matching Y of k2, all integers
 (_two_zero_sum); the slopes share one denominator and one Fraction is
-built at the end.  The hypertree loop sums three or more zeros and
-stays callable on two as their oracle.  In a principal stratum
-L_2(1) = 0 makes every zero a leaf handing up u = 2, and the sum is the
-one bracket b(2, ..., 2), which c_value reads (the loop is its oracle).
+built at the end.  The hypertree loop sums three or more zeros.  In a
+principal stratum L_2(1) = 0 makes every zero a leaf handing up u = 2,
+and the sum is the one bracket b(2, ..., 2), which c_value reads.
+
+The hypertree loop runs on integers.  With w(a) = sum_d a_d k_d and a!
+the product of the factorials of a count vector a, a coefficient X at a
+of weight t is held as X~ = a! t! D_t X; t is n + w(a) for [y^n]
+exp(-k_d E), w(a) - u for S_u, w(a) - |q| for P_q and w(a) + j for E at
+y^j, so exp(-k_d E) at a = 0 holds the A_n.  In |q| P_q and |a| exp(-k E)
+each product of X~ at b and at a - b, t1 + t2 = t, takes one factor
+
+    K = a!/(b! (a - b)!) * C(t, t1) * D_t / (D_t1 D_t2),
+
+an integer by exact_arith.odd_scales.  E reads a bracket b(m) of sum s
+as the integer (s + 1)! D_(s+1) b(m) (bracket docstring) times K at
+b = 0 and t1 = w(a) - |q|.  Every X~ is an integer: it sums, over the
+ways to split the zeros of a into blocks and t among them, products of
+A_n and scaled brackets times a!/(prod b_i! prod r!), r the multiplicities
+of equal blocks, t!/prod t_i! and D_t/prod D_(t_i).  So the divisions by
+|q| and |a| are exact (and checked), and one Fraction is built at the
+end.  tests/oracles.py keeps the loop on Fractions as the oracle.
 
 The genus-1 edge cases H() and H(0, ..., 0) are normalized through
 c_value((1,)) = pi^2/6, giving the torus volume pi^2/3.
@@ -83,7 +100,7 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import accumulate, groupby, product
 from typing import Iterable, Optional, Union
 
 from . import bracket, exact_arith, f_expansion, wick
@@ -233,13 +250,6 @@ def _exp_ints(k: int, top: int, step: list[int]) -> tuple[list[int], list[int]]:
     return a, scales
 
 
-def _exp_series(k: int, top: int) -> list[Fraction]:
-    """Coefficients L_k(0), ..., L_k(top) of exp(-k B(y)): the integers of
-    _exp_ints, each made a Fraction once, for the hypertree loop."""
-    a, scales = _exp_ints(k, top, exact_arith._odd_prime_steps(top))
-    return [Fraction(x, s) if x else Fraction(0) for x, s in zip(a, scales)]
-
-
 def _two_zero_sum(k1: int, k2: int) -> Fraction:
     """_hypertree_sum((k1, k2)) for k1 >= k2 >= 1, on the integers (module
     docstring).
@@ -284,63 +294,74 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
 
 def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
     """c_value(key) * |key|! * prod key for the sorted degrees key, summed
-    over the vectors below M - e_0 (module docstring).  They are numbered in
-    mixed radix, last degree fastest, so a - b sits at i - g when a sits at
-    i and b at g.  A vector a gets S_u, then P_q = prod_u S_u^(q_u)/q_u! by
-    |q| P_q = sum_u S_u P_(q-e_u), then |a| E where it is read (y^2 ..
-    y^(k_0 - 1), and y^(k_0 + 1) on the last vector: exp(-k E) has no y^1
-    term), then exp(-k E) for the degrees with a zero left to place above
-    a, by |a| exp(-k E) = -k sum_(0 < b <= a) |b| E_b exp(-k E)_(a-b).
+    over the vectors below M - e_0 on the integers X~ (module docstring).
+    They are numbered in mixed radix, last degree fastest, so a - b sits at
+    i - g when a sits at i and b at g.  A vector a gets S_u, then P_q, then
+    |a| E where it is read (y^2 .. y^(k_0 - 1), and y^(k_0 + 1) on the last
+    vector: exp(-k E) has no y^1 term), then exp(-k E) for the degrees with
+    a zero left to place above a, by |q| P_q = sum_u S_u P_(q-e_u) and
+    |a| exp(-k E) = -k sum_(0 < b <= a) |b| E_b exp(-k E)_(a-b).
     """
-    degrees, target = [], []
-    for k, run in groupby(key):
-        degrees.append(k)
-        target.append(len(list(run)))
-    weight = math.prod(map(math.factorial, target)) // target[0]
-    target[0] -= 1
-    k0 = degrees[0]
+    degrees, target = zip(*((k, len(list(run))) for k, run in groupby(key)))
+    target = [target[0] - 1, *target[1:]]
+    k0, top_t = degrees[0], sum(key) + 1
+    step = exact_arith._odd_prime_steps(top_t)
     if not any(target):
-        a, scales = _exp_ints(k0, k0 + 1, exact_arith._odd_prime_steps(k0 + 1))
+        a, scales = _exp_ints(k0, k0 + 1, step)
         return Fraction(-a[k0 + 1], k0 * scales[k0 + 1])
+    # t! D_t, and C(t, t1) D_t / (D_t1 D_(t - t1)) by t then t1: K over a!/(b! (a-b)!)
+    scales = list(accumulate(range(1, top_t + 1), lambda f, t: f * t * step[t], initial=1))
+    binom = []
+    for t, f in enumerate(scales):
+        half = [exact_quotient(f, scales[t1] * scales[t - t1], "K(a, b) is not an integer")
+                for t1 in range(t // 2 + 1)]
+        binom.append(half + half[::-1][1 - t % 2:])
     strides = [math.prod(t + 1 for t in target[d + 1:]) for d in range(len(target))]
     top = math.prod(t + 1 for t in target) - 1
-    exps: list = [[_exp_series(k, k - 1) for k in degrees]]  # exp(-k_d E), by d
-    hands: list = [None]                # S at each vector: part u -> coefficient
-    powers: list = [{(): Fraction(1)}]  # P at each vector: sorted q -> coefficient
-    slopes: list = [None]               # |a| E at each vector: (j, coefficient)
+    exps: list = [[_exp_ints(k, k - 1, step)[0] for k in degrees]]  # exp(-k_d E), by d
+    hands: list = [None]            # S at each vector: part u -> coefficient
+    powers: list = [[((), 0, 1)]]   # P at each vector: (sorted q, |q|, coefficient)
+    slopes: list = [None]           # |a| E at each vector: (j, coefficient)
+    sums = [0]                      # w(a) at each vector
     vectors = product(*(range(t + 1) for t in target))
     next(vectors)
     for i, a in enumerate(vectors, 1):
-        size = sum(a)
-        below = [0]
+        size, w = sum(a), sum(x * k for x, k in zip(a, degrees))
+        sums.append(w)
+        below = [(0, 1)]            # (position of b, a!/(b! (a-b)!))
         for x, st in zip(a, strides):
             if x:
-                below = [g + t * st for g in below for t in range(x + 1)]
-        # S_u = sum_d x_d [y^(k_d - u)] exp(-k_d E)
-        hand: dict[int, Fraction] = {}
+                below = [(g + t * st, m * math.comb(x, t)) for g, m in below for t in range(x + 1)]
+        # S_u = sum_d a_d [y^(k_d - u)] exp(-k_d E) at a - e_d
+        hand: dict[int, int] = {}
         for d, x in enumerate(a):
             if x:
                 k, g = degrees[d], exps[i - strides[d]][d]
                 for u in range(1, k + 1):
                     if g[k - u]:
-                        hand[u] = hand[u] + g[k - u] if u in hand else g[k - u]
+                        hand[u] = hand.get(u, 0) + x * g[k - u]
         hands.append(hand)
         # |q| P_q = sum_u sum_b S_u(b) P_(q - e_u)(a - b); at b = a it is S_u
         acc = {(u,): s for u, s in hand.items()}
-        for g in below[1:-1]:
+        for g, m in below[1:-1]:
             for u, s in hands[g].items():
-                for q, p in powers[i - g].items():
+                ms, t1 = m * s, sums[g] - u
+                for q, wq, p in powers[i - g]:
                     q = tuple(sorted((u, *q), reverse=True))
-                    acc[q] = acc[q] + s * p if q in acc else s * p
-        power = {q: p / len(q) if len(q) > 1 else p for q, p in acc.items() if p}
+                    acc[q] = acc.get(q, 0) + binom[w - wq - u][t1] * ms * p
+        power = [(q, sum(q), exact_quotient(p, len(q), "P_q is not an integer"))
+                 for q, p in acc.items() if p]
         powers.append(power)
-        # E at y^j = y^(w+1) is sum_q b((w,) + q) P_q; by grading it
-        # vanishes unless j has the parity of sum_d a_d (k_d - 1)
-        odd = sum(x * (k - 1) for x, k in zip(a, degrees)) % 2
+        # E_j = sum_q b((j - 1,) + q) P_q vanishes unless j = w - |a| mod 2 (grading)
+        odd = (w - size) % 2
         slope = []
         for j in [*range(2 + odd, k0, 2), *([k0 + 1] if i == top else [])]:
-            e = sum(b * p for q, p in power.items()
-                    if (b := bracket.coefficient(tuple(sorted((j - 1, *q), reverse=True)))))
+            e, k_row = 0, binom[w + j]
+            for q, wq, p in power:
+                if b := bracket.coefficient(tuple(sorted((j - 1, *q), reverse=True))):
+                    bt = exact_quotient(scales[j + wq] * b.numerator, b.denominator,
+                                        "a scaled bracket is not an integer")
+                    e += k_row[w - wq] * bt * p
             if e:
                 slope.append((j, e * size))
         slopes.append(slope)
@@ -350,19 +371,20 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
             if d == 0 or a[d] < target[d]:
                 # y^0 .. y^(k-1), and only y^(k+1) at the root's last vector
                 f = [0] * (k + 2)
-                for g in below[1:]:
-                    h = exps[i - g][d]
+                for g, m in below[1:]:
+                    h, wb = exps[i - g][d], sums[g]
                     for j, e in slopes[g]:
+                        me = m * e
                         for n in [k + 1] if i == top else range(j, k):
                             if h[n - j]:
-                                f[n] += e * h[n - j]
-                if any(f) and i < top:
-                    c = Fraction(-k, size)
-                    f = [v and v * c for v in f]
+                                f[n] += binom[w + n][wb + j] * me * h[n - j]
+                if i < top:
+                    f = [v and exact_quotient(-k * v, size, "exp(-k E) is not an integer")
+                         for v in f]
             row.append(f)
         exps.append(row)
-    # the last row is still to be multiplied by -k_0/|a|; -k_0 cancels
-    return Fraction(weight * exps[top][0][k0 + 1], size)
+    # -k_0/|a| of the last row cancels; M!/M_0 is the (M - e_0)! of its scale
+    return Fraction(exps[top][0][k0 + 1], size * scales[top_t])
 
 
 def c_value(m: Iterable[int]) -> PiValue:

@@ -10,6 +10,13 @@ same series on integers scaled per count vector; this is the view it is
 checked against bit for bit.  The series R^j at the vectors below M are
 kept in this module's own table, keyed on the sub-multiset a vector
 stands for, so a test can sum many related brackets; clear() empties it.
+
+hypertree_sum is the hypertree loop of mvvol.volumes (module docstring
+there), c_value(key) * |key|! * prod key, summed on Fractions.  It reads
+the brackets through mvvol.bracket.coefficient and exp(-k B) through
+mvvol.volumes._exp_ints, which the tests check against oracles of their
+own.  The package sums the same loop on integers scaled per count vector
+and weight.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from fractions import Fraction
 from itertools import groupby, product
 from operator import mul
 
+from mvvol import bracket, exact_arith, volumes
 from mvvol.exact_arith import frak_slope
 
 # sorted sub-multiset -> R^0 .. R^n at its count vector, n its number of parts
@@ -116,3 +124,92 @@ def tree_sum(mm: tuple[int, ...]) -> Fraction:
             _SERIES[key] = pw
     # the loop ends at M, with V there in acc and R^2 in pw[2]
     return -math.prod(math.factorial(k) for k in mult) * (acc - Fraction(pw[2], 2))
+
+
+def exp_fractions(k: int, top: int) -> list[Fraction]:
+    """L_k(0), ..., L_k(top), the coefficients of exp(-k B(y)): the
+    integers A_n of mvvol.volumes._exp_ints over their scales n! D_n."""
+    a, scales = volumes._exp_ints(k, top, exact_arith._odd_prime_steps(top))
+    return [Fraction(x, s) for x, s in zip(a, scales)]
+
+
+def hypertree_sum(key: tuple[int, ...]) -> Fraction:
+    """c_value(key) * |key|! * prod key for the sorted degrees key, on
+    Fractions.  Vectors below M - e_0 are numbered in mixed radix, last
+    degree fastest, so a - b sits at i - g when a sits at i and b at g.  A
+    vector a gets S_u, then P_q = prod_u S_u^(q_u)/q_u! by |q| P_q =
+    sum_u S_u P_(q-e_u), then |a| E where it is read (y^2 .. y^(k_0 - 1),
+    and y^(k_0 + 1) on the last vector: exp(-k E) has no y^1 term), then
+    exp(-k E) for the degrees with a zero left to place above a, by
+    |a| exp(-k E) = -k sum_(0 < b <= a) |b| E_b exp(-k E)_(a-b).
+    """
+    degrees, target = [], []
+    for k, run in groupby(key):
+        degrees.append(k)
+        target.append(len(list(run)))
+    weight = math.prod(map(math.factorial, target)) // target[0]
+    target[0] -= 1
+    k0 = degrees[0]
+    if not any(target):
+        return -exp_fractions(k0, k0 + 1)[k0 + 1] / k0
+    strides = [math.prod(t + 1 for t in target[d + 1:]) for d in range(len(target))]
+    top = math.prod(t + 1 for t in target) - 1
+    exps: list = [[exp_fractions(k, k - 1) for k in degrees]]  # exp(-k_d E), by d
+    hands: list = [None]                # S at each vector: part u -> coefficient
+    powers: list = [{(): Fraction(1)}]  # P at each vector: sorted q -> coefficient
+    slopes: list = [None]               # |a| E at each vector: (j, coefficient)
+    vectors = product(*(range(t + 1) for t in target))
+    next(vectors)
+    for i, a in enumerate(vectors, 1):
+        size = sum(a)
+        below = [0]
+        for x, st in zip(a, strides):
+            if x:
+                below = [g + t * st for g in below for t in range(x + 1)]
+        # S_u = sum_d x_d [y^(k_d - u)] exp(-k_d E)
+        hand: dict[int, Fraction] = {}
+        for d, x in enumerate(a):
+            if x:
+                k, g = degrees[d], exps[i - strides[d]][d]
+                for u in range(1, k + 1):
+                    if g[k - u]:
+                        hand[u] = hand[u] + g[k - u] if u in hand else g[k - u]
+        hands.append(hand)
+        # |q| P_q = sum_u sum_b S_u(b) P_(q - e_u)(a - b); at b = a it is S_u
+        acc = {(u,): s for u, s in hand.items()}
+        for g in below[1:-1]:
+            for u, s in hands[g].items():
+                for q, p in powers[i - g].items():
+                    q = tuple(sorted((u, *q), reverse=True))
+                    acc[q] = acc[q] + s * p if q in acc else s * p
+        power = {q: p / len(q) if len(q) > 1 else p for q, p in acc.items() if p}
+        powers.append(power)
+        # E at y^j = y^(w+1) is sum_q b((w,) + q) P_q; by grading it
+        # vanishes unless j has the parity of sum_d a_d (k_d - 1)
+        odd = sum(x * (k - 1) for x, k in zip(a, degrees)) % 2
+        slope = []
+        for j in [*range(2 + odd, k0, 2), *([k0 + 1] if i == top else [])]:
+            e = sum(b * p for q, p in power.items()
+                    if (b := bracket.coefficient(tuple(sorted((j - 1, *q), reverse=True)))))
+            if e:
+                slope.append((j, e * size))
+        slopes.append(slope)
+        row = []
+        for d, k in enumerate(degrees):
+            f = None
+            if d == 0 or a[d] < target[d]:
+                # y^0 .. y^(k-1), and only y^(k+1) at the root's last vector
+                f = [0] * (k + 2)
+                for g in below[1:]:
+                    h = exps[i - g][d]
+                    for j, e in slopes[g]:
+                        for n in [k + 1] if i == top else range(j, k):
+                            if h[n - j]:
+                                f[n] += e * h[n - j]
+                if any(f) and i < top:
+                    c = Fraction(-k, size)
+                    f = [v and v * c for v in f]
+            row.append(f)
+        exps.append(row)
+    # the last row is still to be multiplied by -k_0/|a|; -k_0 cancels
+    return Fraction(weight * exps[top][0][k0 + 1], size)

@@ -191,7 +191,7 @@ def test_exp_series_matches_fraction_recurrence():
     for calls in (EXP_SERIES_CALLS, EXP_SERIES_CALLS[::-1]):
         clear_caches()
         for k, top in calls:
-            series = volumes._exp_series(k, top)
+            series = oracles.exp_fractions(k, top)
             assert all(type(c) is Fraction for c in series)
             assert series == oracle_exp_series(k, top), (k, top)
 
@@ -203,7 +203,7 @@ def test_slope_table_growth_and_clear():
     clear_caches()
     assert slope.cache_info().currsize == 0
     for top in (0, 1, 2, 5, 6, 40, 41, 300):
-        volumes._exp_series(3, top)
+        oracles.exp_fractions(3, top)
         assert slope.cache_info().currsize == top // 2
     assert all(slope(j) == j * oracles.tree_sum((j - 1,)) for j in range(2, 301, 2))
     clear_caches()
@@ -222,7 +222,7 @@ def test_slope_table_from_concurrent_threads():
 
     def work(i):
         barrier.wait()
-        results[i] = [volumes._exp_series(k, top) for k, top in wanted[i]]
+        results[i] = [oracles.exp_fractions(k, top) for k, top in wanted[i]]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(wanted))]
     interval = sys.getswitchinterval()
@@ -257,7 +257,7 @@ def test_one_zero_layer_sums_no_bracket_series(monkeypatch):
     for g in range(1, 31):
         assert volume([2 * g - 2], max_weight=2 * g - 1).value
     for k, top in EXP_SERIES_CALLS:
-        volumes._exp_series(k, top)
+        oracles.exp_fractions(k, top)
 
 
 def test_exp_series_checks_its_integer_division(monkeypatch):
@@ -265,7 +265,7 @@ def test_exp_series_checks_its_integer_division(monkeypatch):
     # divides out, and the series refuses rather than rounding
     monkeypatch.setattr(exact_arith, "_odd_prime_steps", lambda top: [1] * (top + 1))
     with pytest.raises(ArithmeticError, match="not an integer"):
-        volumes._exp_series(5, 6)
+        oracles.exp_fractions(5, 6)
 
 
 TWO_ZERO_KEYS = [(k1, k2) for k1 in range(1, 41) for k2 in range(1, k1 + 1)] + [
@@ -273,12 +273,12 @@ TWO_ZERO_KEYS = [(k1, k2) for k1 in range(1, 41) for k2 in range(1, k1 + 1)] + [
 
 
 def test_two_zero_convolution_matches_hypertree_loop():
-    # both parities of k1 + k2; the loop over the lattice of brackets b(u, v)
-    # stays callable on two zeros as the oracle
+    # both parities of k1 + k2; the Fraction hypertree loop over the
+    # lattice of brackets b(u, v) is the oracle
     clear_caches()
     for k1, k2 in TWO_ZERO_KEYS:
         value = volumes._two_zero_sum(k1, k2)
-        expected = volumes._hypertree_sum((k1, k2))
+        expected = oracles.hypertree_sum((k1, k2))
         assert type(value) is Fraction
         assert (value.numerator, value.denominator) == (
             expected.numerator, expected.denominator), (k1, k2)
@@ -315,12 +315,12 @@ def test_two_zero_convolution_checks_its_common_denominator(monkeypatch):
 
 
 def test_principal_stratum_reads_one_bracket(monkeypatch):
-    # c_value of (2, ..., 2) is the bracket b(2, ..., 2); the hypertree
-    # loop stays its oracle
+    # c_value of (2, ..., 2) is the bracket b(2, ..., 2); the Fraction
+    # hypertree loop is its oracle
     clear_caches()
     for n in range(1, 15):
         key = (2,) * n
-        expected = volumes._hypertree_sum(key)
+        expected = oracles.hypertree_sum(key)
         assert c_value(key) == PiValue(expected / (math.factorial(2 * n) * 2**n), n + 2), n
 
     def refuse(key):
@@ -329,6 +329,93 @@ def test_principal_stratum_reads_one_bracket(monkeypatch):
     monkeypatch.setattr(volumes, "_hypertree_sum", refuse)
     clear_caches()
     assert volume([1] * 20, max_weight=40).pi_exponent == 22
+
+
+# two zeros, (2^n), every key of 3-6 entries in 1..5, and of 3-7 entries
+# in 2..6 with |key| - n <= 18
+LOOP_KEYS = list(dict.fromkeys([(k1, k2) for k1 in range(1, 41) for k2 in range(1, k1 + 1)] + [
+    (2,) * n for n in range(1, 15)] + [
+    key for n in range(3, 7) for key in combinations_with_replacement(range(5, 0, -1), n)] + [
+    key for n in range(3, 8) for key in combinations_with_replacement(range(6, 1, -1), n)
+    if sum(key) - n <= 18]))
+
+
+def assert_same_fraction(value, expected, key):
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator), key
+
+
+def oracle_c_value(key):
+    return PiValue(oracles.hypertree_sum(key) / (math.factorial(sum(key)) * math.prod(key)),
+                   sum(key) - len(key) + 2)
+
+
+def test_hypertree_loop_matches_fraction_oracle():
+    # the integer loop against the Fraction loop, numerator and denominator
+    clear_caches()
+    for key in LOOP_KEYS:
+        assert_same_fraction(volumes._hypertree_sum(key), oracles.hypertree_sum(key), key)
+
+
+def test_hypertree_strata_match_fraction_oracle():
+    # the four strata of the benchmark's equal-parts pass that run the loop,
+    # and two distinct degrees eight times each
+    clear_caches()
+    for degrees in ([2] * 3, [2] * 4, [2] * 5, [4] * 3):
+        key = tuple(d + 1 for d in degrees)
+        assert_same_fraction(volumes._hypertree_sum(key), oracles.hypertree_sum(key), key)
+        assert volume(degrees, max_weight=15).value == 2 * oracle_c_value(key)
+    key = (3,) * 8 + (2,) * 8
+    assert c_value(key) == oracle_c_value(key)
+
+
+def test_hypertree_loop_checks_its_integer_divisions(monkeypatch):
+    # without the odd-prime scaling D_n the exp(-k B) series refuses; with
+    # it only up to y^(k_0 - 1), which the series read, K(a, b) does
+    monkeypatch.setattr(exact_arith, "_odd_prime_steps", lambda top: [1] * (top + 1))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        volumes._hypertree_sum((3, 3, 3))
+    monkeypatch.undo()
+    steps = exact_arith._odd_prime_steps
+    monkeypatch.setattr(exact_arith, "_odd_prime_steps",
+                        lambda top: [s if n <= 2 else 1 for n, s in enumerate(steps(top))])
+    with pytest.raises(ArithmeticError, match="K\\(a, b\\) is not an integer"):
+        volumes._hypertree_sum((3, 3, 3))
+    monkeypatch.undo()
+    # a bracket whose denominator t! D_t does not clear
+    coefficient = bracket.coefficient
+    monkeypatch.setattr(bracket, "coefficient", lambda mm: coefficient(mm) / 23)
+    with pytest.raises(ArithmeticError, match="scaled bracket is not an integer"):
+        volumes._hypertree_sum((3, 3, 3))
+
+
+def test_hypertree_loop_from_concurrent_threads():
+    # more threads than cores, switching often, each summing overlapping
+    # mixed strata from empty caches; the loop keeps no table of its own
+    keys = [(4, 3, 3, 2), (3, 3, 2, 2, 2), (5, 3, 3, 1, 1), (4, 4, 2, 2, 1, 1),
+            (3, 3, 3, 2, 2, 1), (6, 4, 2, 2)]
+    expected = {key: oracle_c_value(key) for key in keys}
+    work = [keys[i::2] + keys[::-1] for i in range(4)]
+    results = [None] * len(work)
+    barrier = threading.Barrier(len(work))
+
+    def run(i):
+        barrier.wait()
+        results[i] = {key: c_value(key) for key in work[i]}
+
+    clear_caches()
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == {key: expected[key] for key in r} for r in results)
 
 
 def test_volume_result_pi_exponent_of_zero_is_none():
