@@ -6,15 +6,7 @@ Siegel-Veech style counting constants from exact volume ratios.
 """
 
 from .exact_arith import PiValue, bernoulli, frak_z, zeta_even
-from .combinatorics import (
-    Partition,
-    SetPartition,
-    complementary_partitions,
-    nonneg_compositions,
-    partitions_of_size,
-    partitions_of_weight,
-    set_partitions,
-)
+from .combinatorics import Partition, partitions_of_size, partitions_of_weight
 from .bracket import error_term, single_bracket
 from .f_expansion import capital_f
 from .wick import multi_bracket
@@ -49,12 +41,8 @@ __all__ = [
     "zeta_even",
     "frak_z",
     "Partition",
-    "SetPartition",
     "partitions_of_size",
     "partitions_of_weight",
-    "nonneg_compositions",
-    "set_partitions",
-    "complementary_partitions",
     "single_bracket",
     "error_term",
     "capital_f",

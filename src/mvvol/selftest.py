@@ -1,5 +1,11 @@
 r"""Built-in oracle suite: one check per shipped acceptance criterion.
 
+The checks run the shipped code only.  The reference code the fast paths
+are checked against bit for bit (the set-partition enumerators, and the
+bracket series and hypertree loop on Fractions) lives in tests/oracles.py
+and runs in the test suite; here criterion 09 checks the fast paths
+against each other, across the dispatch boundaries of volumes.c_value.
+
 Each check returns (ok, detail) where detail is deterministic text (never
 timings), so the rendered report is byte-identical across repeated runs
 and cache states.  The CLI `selftest` verb prints one PASS/FAIL line per
@@ -13,14 +19,10 @@ import time
 from fractions import Fraction
 from typing import Callable
 
-from .bracket import error_term, single_bracket
-from .combinatorics import (
-    SetPartition,
-    complementary_partitions,
-    partitions_of_size,
-    set_partitions,
-)
-from .exact_arith import PiValue
+from . import bracket, exact_arith
+from .bracket import error_term
+from .combinatorics import partitions_of_size
+from .exact_arith import PiValue, frak_slope
 from .siegel_veech import (
     area1_constant,
     cyl1_total,
@@ -33,11 +35,11 @@ from .siegel_veech import (
 )
 from .volumes import (
     Stratum,
+    c_value,
     clear_caches,
     principal_volume,
     volume,
 )
-from .wick import multi_bracket
 
 __all__ = ["run_selftest", "CHECKS"]
 
@@ -158,54 +160,20 @@ def _check_decomposition() -> tuple[bool, str]:
     return ok, "cyl1_total = sum of cyl pairs + handles, bit-exact, for 2g-2 <= 4"
 
 
-def _closure_table(p: SetPartition, n: int) -> bytearray:
-    """table[mask] = union of the blocks of p meeting mask, over n <= 8 bits."""
-    owner = [0] * n
-    for b in p:
-        bm = sum(1 << (x - 1) for x in b)
-        for x in b:
-            owner[x - 1] = bm
-    table = bytearray(1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | owner[low.bit_length() - 1]
-    return table
-
-
-def _joined(alpha: bytearray, rho: bytearray) -> bool:
-    """Whether the join of two set partitions is the one-block partition.
-
-    Floods from element 1 through the blocks of rho and of alpha (given by
-    their closure tables) until nothing new is reached.
-    """
-    reach = 1
-    while True:
-        nxt = alpha[rho[reach]]
-        if nxt == reach:
-            return reach == len(alpha) - 1
-        reach = nxt
-
-
 def _check_cross_consistency() -> tuple[bool, str]:
-    ok = True
-    for s in range(1, 9):
-        for lam in partitions_of_size(s):
-            if multi_bracket([(v,) for v in lam]) != single_bracket(lam):
-                ok = False
-    for n in range(1, 9):
-        universe = list(set_partitions(n))
-        tables = {p: _closure_table(p, n) for p in universe}
-        by_len: dict[int, list[SetPartition]] = {}
-        for p in universe:
-            by_len.setdefault(len(p), []).append(p)
-        for rho in universe:
-            k = n + 1 - len(rho)
-            rtab = tables[rho]
-            want = {a for a in by_len.get(k, ()) if _joined(tables[a], rtab)}
-            got = set(complementary_partitions(rho))
-            if got != want:
-                ok = False
-    return ok, "single-part Wick merge <= 8 and complement enumeration vs filter N <= 8"
+    # a marked point (an entry 1) leaves c_value unchanged and moves a key
+    # across a dispatch boundary of c_value: one zero to the two-zero
+    # convolution, the convolution to the hypertree loop, and a principal
+    # b(2, ..., 2) to the hypertree loop
+    keys = [a for s in range(2, 15) for a in partitions_of_size(s)
+            if a[-1] >= 2 and (s - len(a)) % 2 == 0]
+    ok = all(c_value(a) == c_value(a + (1,)) for a in keys)
+    pairs = [(u, s - u) for s in range(2, 25) for u in range((s + 1) // 2, s)]
+    ok = ok and all(bracket.coefficient(p) == bracket._tree_sum(p) for p in pairs)
+    return ok, (
+        f"c_value(a) = c_value(a + (1,)) on {len(keys)} keys with parts >= 2, |a| <= 14; "
+        f"two-part brackets = tree series, u + v <= 24"
+    )
 
 
 def _check_identities() -> tuple[bool, str]:
@@ -223,9 +191,18 @@ def _check_identities() -> tuple[bool, str]:
                 acc += Fraction(math.factorial(k), denom)
             if acc != math.comb(n - 1, k - 1):
                 ok = False
-    bells = [sum(1 for _ in set_partitions(n)) for n in range(1, 7)]
-    ok = ok and bells == [1, 2, 5, 15, 52, 203]
-    return ok, "weighted composition identity k <= n <= 9; Bell counts 1..6"
+    # the integer series divide by D_x D_y inside D_(x+y) and scale the
+    # slopes by D_k; the Bernoulli numbers read the tangent numbers T_h
+    top = 60
+    d = exact_arith.odd_scales(top)
+    ok = ok and all(d[x + y] % (d[x] * d[y]) == 0
+                    for x in range(top + 1) for y in range(top + 1 - x))
+    ok = ok and all((d[k] * frak_slope(k)).denominator == 1 for k in range(top + 1))
+    ok = ok and [exact_arith._tangent(h) for h in range(1, 6)] == [1, 2, 16, 272, 7936]
+    return ok, (
+        f"weighted composition identity k <= n <= 9; D_(x+y)/(D_x D_y) and "
+        f"D_k frak_slope(k) integers to {top}; T_1..T_5 = 1, 2, 16, 272, 7936"
+    )
 
 
 def _check_tripwire() -> tuple[bool, str]:

@@ -10,7 +10,9 @@ a single positive rational multiple of pi^(2g) with g = (sum m_i + 2) / 2.
 By definition c_value(a) * |a|! * prod a_i is the Wick sum over the
 power-sum supports of capital_f(a_1), ..., capital_f(a_n); wick and
 f_expansion keep that definition as a reference, and c_value sums it as
-one series.
+one series.  The complements the Wick sum runs over are enumerated only
+in tests/oracles.py, next to the Fraction forms of the bracket series and
+of the hypertree loop below.
 
 Write b(.) = bracket.coefficient.  The block-incidence graph of every Wick
 complement is a tree (wick docstring): blocks of one part give factors
@@ -489,9 +491,11 @@ def principal_volume(g: int) -> PiValue:
 
 
 def clear_caches() -> None:
-    """Drop every memo table in the pipeline: volumes here, then each
+    """Drop every memo table in the package: volumes here, then each
     module's own: Wick sums, brackets, capital_f expansions, and the
-    tangent numbers with the Bernoulli numbers and slopes."""
+    tangent numbers with the Bernoulli numbers and slopes.  The reference
+    sums in tests/oracles.py keep a table of their own, which
+    oracles.clear() empties."""
     _VOLUME_CACHE.clear()
     for module in (wick, bracket, f_expansion, exact_arith):
         module.clear_cache()

@@ -17,6 +17,16 @@ the brackets through mvvol.bracket.coefficient and exp(-k B) through
 mvvol.volumes._exp_ints, which the tests check against oracles of their
 own.  The package sums the same loop on integers scaled per count vector
 and weight.
+
+The set partitions that define both sums are enumerated here and nowhere
+in the package: set_partitions lists the reduced set partitions of
+{1..N}, complementary_partitions those alpha with len(alpha) + len(rho) =
+N + 1 whose join with rho is the one-block partition, and
+nonneg_compositions the degree vectors of the bracket's defining double
+sum.  Two join filters check the enumeration of complements: joined floods
+through closure tables, fast enough to filter the complements of every
+rho at N <= 8, and merged_to_one_block merges blocks one by one, the
+plain definition the flood fill is checked against.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import math
 from fractions import Fraction
 from itertools import groupby, product
 from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from mvvol import bracket, exact_arith, volumes
 from mvvol.exact_arith import frak_slope
@@ -213,3 +224,216 @@ def hypertree_sum(key: tuple[int, ...]) -> Fraction:
         exps.append(row)
     # the last row is still to be multiplied by -k_0/|a|; -k_0 cancels
     return Fraction(weight * exps[top][0][k0 + 1], size)
+
+
+def nonneg_compositions(n: int, k: int) -> list[tuple[int, ...]]:
+    """Ordered k-tuples of nonnegative integers summing to n: C(n+k-1, k-1)."""
+    if k < 0:
+        raise ValueError("composition length must be nonnegative")
+    if k == 0:
+        return [()] if n == 0 else []
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], rem: int, slots: int) -> None:
+        if slots == 1:
+            out.append(prefix + (rem,))
+            return
+        for v in range(rem + 1):
+            rec(prefix + (v,), rem - v, slots - 1)
+
+    rec((), n, k)
+    return out
+
+
+class SetPartition(tuple):
+    """Reduced set partition: disjoint nonempty blocks covering {1..N}.
+
+    Canonical form: each block is a sorted tuple and blocks are ordered by
+    their minimum, so equal partitions compare equal as tuples.
+    """
+
+    def __new__(cls, blocks: Iterable[Sequence[int]]):
+        blks = tuple(tuple(sorted(b)) for b in blocks)
+        blks = tuple(sorted(blks, key=lambda b: b[0] if b else 0))
+        seen: set[int] = set()
+        for b in blks:
+            if not b:
+                raise ValueError("empty block in set partition")
+            for x in b:
+                if x in seen:
+                    raise ValueError(f"element {x} repeated across blocks")
+                seen.add(x)
+        if seen and seen != set(range(1, max(seen) + 1)):
+            raise ValueError(f"blocks must cover 1..N, got {sorted(seen)}")
+        return super().__new__(cls, blks)
+
+    @classmethod
+    def _canonical(cls, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Wrap blocks already in canonical form, skipping the checks."""
+        return tuple.__new__(cls, blocks)
+
+    @property
+    def universe_size(self) -> int:
+        return sum(len(b) for b in self)
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        return tuple(len(b) for b in self)
+
+    def block_of(self, x: int) -> int:
+        for i, b in enumerate(self):
+            if x in b:
+                return i
+        raise KeyError(x)
+
+    def __repr__(self) -> str:
+        inner = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self)
+        return f"SetPartition[{inner}]"
+
+
+def set_partitions(n: int) -> Iterator[SetPartition]:
+    """All reduced set partitions of {1..n}, lazily, in canonical order.
+
+    Generated as restricted-growth assignments, so blocks appear ordered by
+    minimum and sorted automatically, and are yielded without re-validation.
+    Counts are the Bell numbers 1, 1, 2, 5, 15, ...
+    """
+    if n < 0:
+        raise ValueError("set partitions need n >= 0")
+    if n == 0:
+        yield SetPartition(())
+        return
+    blocks: list[list[int]] = []
+
+    def rec(e: int) -> Iterator[SetPartition]:
+        if e > n:
+            yield SetPartition._canonical(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(e)
+            yield from rec(e + 1)
+            b.pop()
+        blocks.append([e])
+        yield from rec(e + 1)
+        blocks.pop()
+
+    yield from rec(1)
+
+
+def complementary_partitions(rho: Iterable[Sequence[int]]) -> Iterator[SetPartition]:
+    """Lazily yield the set partitions complementary to rho.
+
+    Complementary means len(alpha) = N + 1 - len(rho) and the join of alpha
+    and rho (finest common coarsening) is the single-block partition.  Each
+    element e is an edge between its alpha-block and its rho-block in the
+    bipartite block-intersection graph; with N edges on N + 1 vertices the
+    join condition forces that graph to be a tree, so a cycle (found by a
+    union-find with rollback) prunes the branch.  Acyclicity also gives
+    transversality: a repeated (alpha-block, rho-block) incidence is a
+    cycle.  rho is validated once; the yielded blocks are canonical by
+    construction (elements are placed in increasing order).
+    """
+    rho_blocks = SetPartition(rho)
+    n = rho_blocks.universe_size
+    if n == 0:
+        return
+    r = len(rho_blocks)
+    k_target = n + 1 - r
+    rho_of = [0] * (n + 1)
+    for bi, b in enumerate(rho_blocks):
+        for x in b:
+            rho_of[x] = bi
+
+    # union-find over r rho-nodes followed by up to k_target alpha-nodes;
+    # plain attach (no path compression) so undo is popping the stack.
+    parent = list(range(r + k_target))
+    size = [1] * (r + k_target)
+    undo: list[int] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> bool:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        size[ra] += size[rb]
+        undo.append(rb)
+        return True
+
+    def undo_union() -> None:
+        rb = undo.pop()
+        size[find(rb)] -= size[rb]
+        parent[rb] = rb
+
+    blocks: list[list[int]] = []
+
+    def rec(e: int) -> Iterator[SetPartition]:
+        if e > n:
+            yield SetPartition._canonical(tuple(tuple(b) for b in blocks))
+            return
+        if len(blocks) + (n - e + 1) < k_target:
+            return  # too few elements left to open the required blocks
+        rnode = rho_of[e]
+        if len(blocks) + (n - e) >= k_target:
+            for bi, b in enumerate(blocks):
+                # adding e to an existing block must keep the incidence
+                # graph acyclic, else the join cannot be the full partition
+                if not union(r + bi, rnode):
+                    continue
+                b.append(e)
+                yield from rec(e + 1)
+                b.pop()
+                undo_union()
+        if len(blocks) < k_target:
+            bi = len(blocks)
+            union(r + bi, rnode)
+            blocks.append([e])
+            yield from rec(e + 1)
+            blocks.pop()
+            undo_union()
+
+    yield from rec(1)
+
+
+def closure_table(p: SetPartition, n: int) -> bytearray:
+    """table[mask] = union of the blocks of p meeting mask, over n <= 8 bits."""
+    owner = [0] * n
+    for b in p:
+        bm = sum(1 << (x - 1) for x in b)
+        for x in b:
+            owner[x - 1] = bm
+    table = bytearray(1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | owner[low.bit_length() - 1]
+    return table
+
+
+def joined(alpha: bytearray, rho: bytearray) -> bool:
+    """Whether the join of two set partitions is the one-block partition.
+
+    Floods from element 1 through the blocks of rho and of alpha (given by
+    their closure tables) until nothing new is reached.
+    """
+    reach = 1
+    while True:
+        nxt = alpha[rho[reach]]
+        if nxt == reach:
+            return reach == len(alpha) - 1
+        reach = nxt
+
+
+def merged_to_one_block(alpha: Iterable[Sequence[int]], rho: Iterable[Sequence[int]]) -> bool:
+    """Whether the join of alpha and rho is one block, by merging the
+    alpha-blocks each rho-block touches."""
+    comps = [set(b) for b in alpha]
+    for rb in rho:
+        touched = [c for c in comps if c & set(rb)]
+        comps = [c for c in comps if not c & set(rb)] + [set().union(*touched)]
+    return len(comps) == 1

@@ -8,8 +8,8 @@ report lines, so `pytest -v -s tests/test_acceptance.py` and
 
 import pytest
 
-from mvvol.combinatorics import set_partitions
-from mvvol.selftest import CHECKS, _closure_table, _joined, run_selftest
+from mvvol import bracket, exact_arith, volumes
+from mvvol.selftest import CHECKS, run_selftest
 from mvvol.volumes import clear_caches
 
 IDS = [
@@ -52,21 +52,28 @@ def test_criterion_12_selftest_determinism():
     assert cold[0] and warm[0], "selftest reported failures"
 
 
-def merged_blocks_joined(alpha, rho):
-    # merge the alpha-blocks each rho-block touches; one block left = joined
-    comps = [set(b) for b in alpha]
-    for rb in rho:
-        touched = [c for c in comps if c & set(rb)]
-        comps = [c for c in comps if not c & set(rb)] + [set().union(*touched)]
-    return len(comps) == 1
+def off_by_one(fn):
+    # the same function with 1 added to its result, or to each entry of it
+    def mutant(*args):
+        out = fn(*args)
+        return type(out)(x + 1 for x in out) if isinstance(out, (list, tuple)) else out + 1
+    return mutant
 
 
-def test_join_filter_matches_block_merge():
-    # the flood fill behind criterion 09 against a plain block merge, n <= 6
-    for n in range(1, 7):
-        universe = list(set_partitions(n))
-        tables = {p: _closure_table(p, n) for p in universe}
-        for alpha in universe:
-            for rho in universe:
-                got = _joined(tables[alpha], tables[rho])
-                assert got == merged_blocks_joined(alpha, rho), (alpha, rho)
+@pytest.mark.parametrize("index,module,name", [
+    (9, volumes, "_two_zero_sum"),
+    (9, bracket, "_tree_sum"),
+    (10, exact_arith, "_odd_prime_steps"),
+    (10, exact_arith, "_tangent_numbers"),
+], ids=["09-two-zero-sum", "09-tree-sum", "10-odd-prime-steps", "10-tangent-numbers"])
+def test_criterion_fails_on_an_off_by_one(monkeypatch, index, module, name):
+    # each check must see a wrong value in the shipped code it covers;
+    # caches are cleared on both sides so no memo hides or keeps the mutant
+    clear_caches()
+    monkeypatch.setattr(module, name, off_by_one(getattr(module, name)))
+    try:
+        ok, detail = CHECKS[index - 1][1]()
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert not ok, detail

@@ -9,8 +9,9 @@ import pytest
 import oracles
 from mvvol import bracket, exact_arith, volumes
 from mvvol.bracket import clear_cache, error_term, single_bracket
-from mvvol.combinatorics import nonneg_compositions, partitions_of_size, set_partitions
+from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue, frak_slope, frak_z
+from oracles import nonneg_compositions, set_partitions
 
 
 def mono(num, den, exp):

@@ -4,13 +4,14 @@ from itertools import product
 
 import pytest
 
-from mvvol.combinatorics import (
-    Partition,
+from mvvol.combinatorics import Partition, partitions_of_size, partitions_of_weight
+from oracles import (
     SetPartition,
+    closure_table,
     complementary_partitions,
+    joined,
+    merged_to_one_block,
     nonneg_compositions,
-    partitions_of_size,
-    partitions_of_weight,
     set_partitions,
 )
 
@@ -45,18 +46,6 @@ def brute_set_partitions(n):
         canon = tuple(sorted((tuple(b) for b in blocks.values()), key=lambda b: b[0]))
         found.add(canon)
     return found
-
-
-def joined_to_one_block(alpha, rho):
-    comps = [set(b) for b in alpha]
-    for rb in rho:
-        hit = [c for c in comps if c & set(rb)]
-        rest = [c for c in comps if not (c & set(rb))]
-        merged = set(rb)
-        for c in hit:
-            merged |= c
-        comps = rest + [merged]
-    return len(comps) == 1
 
 
 # -- partitions ----------------------------------------------------------------
@@ -184,18 +173,32 @@ def test_set_partitions_canonical_order_of_blocks():
 # -- complementary partitions ---------------------------------------------------
 
 
-def test_complementary_matches_brute_force_filter():
+def test_join_filter_matches_block_merge():
+    # the flood fill over closure tables against a plain block merge, n <= 6
     for n in range(1, 7):
         universe = list(set_partitions(n))
+        tables = {p: closure_table(p, n) for p in universe}
+        for alpha in universe:
+            for rho in universe:
+                got = joined(tables[alpha], tables[rho])
+                assert got == merged_to_one_block(alpha, rho), (alpha, rho)
+
+
+def test_complementary_matches_brute_force_filter():
+    # every rho of n <= 8 elements: the pruned enumeration against the
+    # flood-fill filter over all set partitions of the complement length
+    for n in range(1, 9):
+        universe = list(set_partitions(n))
+        tables = {p: closure_table(p, n) for p in universe}
+        by_len = {}
+        for p in universe:
+            by_len.setdefault(len(p), []).append(p)
         for rho in universe:
-            want = {
-                a
-                for a in universe
-                if len(a) == n + 1 - len(rho) and joined_to_one_block(a, rho)
-            }
+            rtab = tables[rho]
+            want = {a for a in by_len.get(n + 1 - len(rho), ()) if joined(tables[a], rtab)}
             got = list(complementary_partitions(rho))
             assert len(set(got)) == len(got)
-            assert set(got) == want
+            assert set(got) == want, rho
 
 
 def test_complementary_known_pair():
