@@ -44,8 +44,9 @@ the product of its factorials, F_j(a) = a! D_(S_a) [x^a] R^j/j! is an
 integer: it sums labelled forests of j planted trees on a, each block
 weighted by psi = -s!/k! c(k), and the indices k over a forest sum to
 S_a - C_a + j <= S_a.  Two vectors b <= a meet in the integer K(a, b) =
-a! D_(S_a) / (b! D_(S_b) (a-b)! D_(S_(a-b))), and with the integer block
-weights w(d) = psi(d) D_s, built once per (s, c),
+a! D_(S_a) / (b! D_(S_b) (a-b)! D_(S_(a-b))) = a!/(b! (a-b)!) Q_(S_a)[S_b],
+Q of exact_arith.odd_quotients, and with the integer block weights
+w(d) = psi(d) D_s, built once per (s, c),
 
     (j + 1) F_(j+1)(a) = sum_b K(a, b) F_1(b) F_j(a - b),
     F_1(a) = sum_b K(a, b) sum_j w_b(j + 1) F_j(a - b).
@@ -74,7 +75,7 @@ from itertools import groupby, product
 from operator import mul
 from typing import Iterable
 
-from .exact_arith import PiValue, exact_quotient, frak_slope, odd_scales
+from .exact_arith import PiValue, exact_quotient, frak_slope, odd_quotients, odd_scales
 
 __all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
 
@@ -123,17 +124,17 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
     values, mult = zip(*((v, len(list(run))) for v, run in groupby(mm)))
     strides = [math.prod(k + 1 for k in mult[v + 1:]) for v in range(len(mult))]
     top = math.prod(k + 1 for k in mult) - 1
-    odd_d = odd_scales(sum(mm))
+    odd_d = odd_scales(sum(mm))[1]
     powers: list = [[1]]             # F_j at each vector below M, j = 0..|a|
     parity = [0] * (top + 1)         # S - C mod 2, which fixes the surviving j
-    scales = [1] * (top + 1)         # a! D_(S_a)
+    sums = [0] * (top + 1)           # S_a
     weights: list = [None]           # each vector's weights as a block
     vectors = product(*(range(k + 1) for k in mult))
     next(vectors)                    # the zero vector, where F_0 = 1
     for i, a in enumerate(vectors, 1):
         size, s = sum(a), sum(map(mul, a, values))
         parity[i] = odd = (s - size) & 1
-        scales[i] = scale = math.prod(map(math.factorial, a)) * odd_d[s]
+        sums[i] = s
         weights.append(_weights(s, size, odd_d[s]))
         last = i == top
         if not last:
@@ -141,19 +142,20 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
             if (pw := _PLANTED.get(key)) is not None:
                 powers.append(pw)
                 continue
-        below = [0]                  # the vectors below a, 0 up to a itself
+        below = [(0, 1)]             # (position of b, a!/(b! (a-b)!)), 0 up to a itself
         for x, st in zip(a, strides):
             if x:
-                below = [g + t * st for g in below for t in range(x + 1)]
+                below = [(g + t * st, m * math.comb(x, t)) for g, m in below for t in range(x + 1)]
+        quotients = odd_quotients(s)
         shift = 0 if last else 1     # j children read w(j) rooted, w(j + 1) planted
         pw = [0] * (3 if last else size + 1)
         acc = weights[i][shift]      # F_1 (M! D V at M): the block a alone
-        for g in below[1:-1]:
+        for g, m in below[1:-1]:
             r, h = powers[g][1], i - g
             if not (r or odd or last):
                 continue
             ph, start = powers[h], 2 - parity[h]
-            k = exact_quotient(scale, scales[g] * scales[h], "K(a, b) is not an integer")
+            k = m * quotients[sums[g]]
             if r:                    # (j + 1) F_(j+1): F_1 at b = g times F_j at a - b
                 kr, n = k * r, min(len(ph), len(pw) - 1)
                 pw[start + 1:n + 1:2] = [x + kr * y for x, y in

@@ -218,9 +218,11 @@ def _tangent(n: int) -> int:
     return table[n]
 
 
-# D_0 .. D_(len - 1), D_n = prod p^floor(n/(p-1)) over the odd primes p;
-# empty until a scale is asked for
-_ODD_SCALES: tuple[int, ...] = ()
+# D_n / D_(n-1), D_n and n! D_n for n = 0 .. len - 1, D_n = prod p^floor(n/(p-1))
+# over the odd primes p; empty until a scale is asked for
+_SCALES: tuple[tuple[int, ...], ...] = ((), (), ())
+# t -> Q_t, the row D_t / (D_j D_(t-j)) for j = 0 .. t; filled on first use
+_QUOTIENTS: dict[int, tuple[int, ...]] = {}
 
 
 def exact_quotient(n: int, d: int, what: str) -> int:
@@ -238,21 +240,39 @@ def _odd_prime_steps(top: int) -> list[int]:
     composite = bytearray(top + 2)
     for p in range(3, top + 2, 2):
         if not composite[p]:
-            composite[p * p::2 * p] = bytes([1]) * len(range(p * p, top + 2, 2 * p))
+            composite[p * p::2 * p] = b"\1" * len(range(p * p, top + 2, 2 * p))
             for n in range(p - 1, top + 1, p - 1):
                 step[n] *= p
     return step
 
 
-def odd_scales(n: int) -> tuple[int, ...]:
-    """D_0 .. D_m for some m >= n.  D_k clears the denominator of
-    frak_slope(k) (von Staudt-Clausen) and D_(x+y) / (D_x D_y) is an
-    integer.  Grown by doubling and published by one assignment."""
-    global _ODD_SCALES
-    table = _ODD_SCALES
-    if n >= len(table):
-        table = _ODD_SCALES = tuple(accumulate(_odd_prime_steps(max(n, 2 * len(table))), mul))
+def odd_scales(n: int) -> tuple[tuple[int, ...], ...]:
+    """The columns (D_k / D_(k-1), D_k, k! D_k), k = 0 .. m for some m >= n,
+    that scale every integer series of the package; D_k clears the
+    denominator of frak_slope(k) (von Staudt-Clausen).  Grown by doubling
+    and published by one assignment, like the tangent table."""
+    global _SCALES
+    table = _SCALES
+    if n >= len(table[0]):
+        step = _odd_prime_steps(max(n, 2 * len(table[0])))
+        d = tuple(accumulate(step, mul))
+        factorials = accumulate(range(1, len(d)), mul, initial=1)
+        table = _SCALES = (tuple(step), d, tuple(map(mul, factorials, d)))
     return table
+
+
+def odd_quotients(t: int) -> tuple[int, ...]:
+    """Q_t, the integers D_t / (D_j D_(t-j)) for j = 0 .. t, so that C(t, j)
+    Q_t[j] = t! D_t / (j! D_j (t-j)! D_(t-j)), stepped up from Q_t[0] = 1 on
+    the small steps D_n / D_(n-1); a remainder raises ArithmeticError.  Built
+    on first use, by the lattice series only, and published by one assignment."""
+    row = _QUOTIENTS.get(t)
+    if row is None:
+        step, half = odd_scales(t)[0], [1]
+        for j in range(t // 2):
+            half.append(exact_quotient(half[j] * step[t - j], step[j + 1], "Q_t is not an integer"))
+        row = _QUOTIENTS[t] = (*half, *half[::-1][1 - t % 2:])
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -306,9 +326,9 @@ def frak_z(k: int) -> PiValue:
 
 
 def clear_cache() -> None:
-    """Drop the tangent and odd-prime tables and the Bernoulli and slope
-    memos."""
-    global _TANGENTS, _ODD_SCALES
-    _TANGENTS = _ODD_SCALES = ()
+    """Drop the tangent, scale and quotient tables and the Bernoulli and slope memos."""
+    global _TANGENTS, _SCALES
+    _TANGENTS, _SCALES = (), ((), (), ())
+    _QUOTIENTS.clear()
     bernoulli.cache_clear()
     frak_slope.cache_clear()

@@ -191,12 +191,15 @@ def _check_identities() -> tuple[bool, str]:
                 acc += Fraction(math.factorial(k), denom)
             if acc != math.comb(n - 1, k - 1):
                 ok = False
-    # the integer series divide by D_x D_y inside D_(x+y) and scale the
-    # slopes by D_k; the Bernoulli numbers read the tangent numbers T_h
+    # the lattice series read the integer rows Q_t[j] = D_t / (D_j D_(t-j)) and
+    # scale the slopes by D_k; the Bernoulli numbers read the tangent numbers T_h
     top = 60
-    d = exact_arith.odd_scales(top)
-    ok = ok and all(d[x + y] % (d[x] * d[y]) == 0
-                    for x in range(top + 1) for y in range(top + 1 - x))
+    d = exact_arith.odd_scales(top)[1]
+    try:
+        ok = ok and all(len(row := exact_arith.odd_quotients(t)) == t + 1 and all(
+            q * d[j] * d[t - j] == d[t] for j, q in enumerate(row)) for t in range(top + 1))
+    except ArithmeticError:
+        ok = False
     ok = ok and all((d[k] * frak_slope(k)).denominator == 1 for k in range(top + 1))
     ok = ok and [exact_arith._tangent(h) for h in range(1, 6)] == [1, 2, 16, 272, 7936]
     return ok, (

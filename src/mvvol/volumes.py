@@ -61,9 +61,9 @@ exp(-k_d E), w(a) - u for S_u, w(a) - |q| for P_q and w(a) + j for E at
 y^j, so exp(-k_d E) at a = 0 holds the A_n.  In |q| P_q and |a| exp(-k E)
 each product of X~ at b and at a - b, t1 + t2 = t, takes one factor
 
-    K = a!/(b! (a - b)!) * C(t, t1) * D_t / (D_t1 D_t2),
+    K = a!/(b! (a - b)!) * C(t, t1) * Q_t[t1],  Q_t[t1] = D_t / (D_t1 D_t2),
 
-an integer by exact_arith.odd_scales.  E reads a bracket b(m) of sum s
+an integer by exact_arith.odd_quotients.  E reads a bracket b(m) of sum s
 as the integer (s + 1)! D_(s+1) b(m) (bracket docstring) times K at
 b = 0 and t1 = w(a) - |q|.  Every X~ is an integer: it sums, over the
 ways to split the zeros of a into blocks and t among them, products of
@@ -102,12 +102,12 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, groupby, product
+from itertools import groupby, product
 from typing import Iterable, Optional, Union
 
 from . import bracket, exact_arith, f_expansion, wick
 from .combinatorics import Partition, partitions_of_size
-from .exact_arith import PiValue, exact_quotient, frak_slope
+from .exact_arith import PiValue, exact_quotient, frak_slope, odd_quotients
 
 __all__ = [
     "InvalidStratumError",
@@ -214,13 +214,13 @@ class VolumeResult:
 _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
 
 
-def _exp_ints(k: int, top: int, step: list[int]) -> tuple[list[int], list[int]]:
-    """The integers A_n = n! D_n L_k(n) and the scales n! D_n for
-    n = 0 .. top, with step = exact_arith._odd_prime_steps(t), t >= top.
+def _exp_ints(k: int, top: int) -> list[int]:
+    """The integers A_n = n! D_n L_k(n) for n = 0 .. top, with D_n of
+    exact_arith.odd_scales.
 
     E = exp(-k B) follows from E' = -k B' E: E_0 = 1 and
     n E_n = -k * sum_j c_j E_(n-j) with c_j = j b(j - 1) = frak_slope(j),
-    zero for odd j.  On A_n = n! D_n E_n, with D_n of exact_arith.odd_scales,
+    zero for odd j.  On A_n = n! D_n E_n,
 
         A_n = -k * sum_j (c_j D_n/D_(n-j)) * (n-1)!/(n-j)! * A_(n-j).
 
@@ -233,12 +233,9 @@ def _exp_ints(k: int, top: int, step: list[int]) -> tuple[list[int], list[int]]:
     exact_arith.bernoulli(top - top % 2)
     slopes = [(j, c.numerator, c.denominator) for j in range(2, top + 1, 2)
               for c in (frak_slope(j),)]
+    step = exact_arith.odd_scales(top)[0]
     a = [1] + [0] * top
-    scales = [1] * (top + 1)
-    for n in range(1, top + 1):
-        scales[n] = scales[n - 1] * n * step[n]
-        if n % 2:
-            continue
+    for n in range(2, top + 1, 2):
         # w = D_n/D_(n-j) * (n-1)!/(n-j)!, stepped up from j = 1
         w, i, acc = step[n], 1, 0
         for j, num, den in slopes:
@@ -249,7 +246,7 @@ def _exp_ints(k: int, top: int, step: list[int]) -> tuple[list[int], list[int]]:
                 i += 1
             acc += num * exact_quotient(w, den, "c_j D_n/D_(n-j) is not an integer") * a[n - j]
         a[n] = -k * acc
-    return a, scales
+    return a
 
 
 def _two_zero_sum(k1: int, k2: int) -> Fraction:
@@ -262,27 +259,20 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
         (sum_s c_s Z_s - X_0 Y_0) / (k1! D_k1 k2! D_k2).
 
     The slopes c_s are summed over the common denominator Q, the lcm of
-    the steps up to k1 + k2; a slope whose denominator does not divide Q
-    raises ArithmeticError.  One sieve serves both series, and one series
-    both zeros when k1 == k2.
+    the steps D_n/D_(n-1) up to k1 + k2; a slope whose denominator does not
+    divide Q raises ArithmeticError.  Both series read the scales of
+    exact_arith.odd_scales, and one series serves both zeros when k1 == k2.
     """
     if (k1 + k2) % 2:
         return Fraction(0)  # odd grading
     top = k1 + k2
     exact_arith.bernoulli(top)  # the largest B_s first: one tangent table
-    step = exact_arith._odd_prime_steps(top)
-    sides = {}
-    for k in (k1, k2):
-        if k not in sides:
-            a, scales = _exp_ints(k, k, step)
-            # X_u = A_(k-u) * k!/(k-u)! * D_k/D_(k-u), stepped up from u = 0
-            x, ratio = [a[k]], 1
-            for u in range(1, k + 1):
-                ratio *= (k - u + 1) * step[k - u + 1]
-                x.append(a[k - u] * ratio)
-            sides[k] = x, scales[k]
-    (x, scale1), (y, scale2) = sides[k1], sides[k2]
-    common = math.lcm(*step[2::2])
+    step, _, f = exact_arith.odd_scales(top)
+    # X_u = A_(k-u) * F_k/F_(k-u), F_n = n! D_n a running product
+    sides = {k: [a * (f[k] // f[k - u]) for u, a in enumerate(_exp_ints(k, k)[::-1])]
+             for k in {k1, k2}}
+    x, y = sides[k1], sides[k2]
+    common = math.lcm(*step[2:top + 1:2])
     total = -common * x[0] * y[0]
     # c_s vanishes for odd s, and X_u for odd k1 - u
     for s in range(2, top + 1, 2):
@@ -291,7 +281,7 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
         lo = max(1, s - k2)
         z = sum(x[u] * y[s - u] for u in range(lo + (k1 - lo) % 2, min(k1, s - 1) + 1, 2))
         total += c.numerator * q * z
-    return Fraction(total, common * scale1 * scale2)
+    return Fraction(total, common * f[k1] * f[k2])
 
 
 def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
@@ -307,20 +297,12 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
     degrees, target = zip(*((k, len(list(run))) for k, run in groupby(key)))
     target = [target[0] - 1, *target[1:]]
     k0, top_t = degrees[0], sum(key) + 1
-    step = exact_arith._odd_prime_steps(top_t)
+    scales = exact_arith.odd_scales(top_t)[2]  # t! D_t
     if not any(target):
-        a, scales = _exp_ints(k0, k0 + 1, step)
-        return Fraction(-a[k0 + 1], k0 * scales[k0 + 1])
-    # t! D_t, and C(t, t1) D_t / (D_t1 D_(t - t1)) by t then t1: K over a!/(b! (a-b)!)
-    scales = list(accumulate(range(1, top_t + 1), lambda f, t: f * t * step[t], initial=1))
-    binom = []
-    for t, f in enumerate(scales):
-        half = [exact_quotient(f, scales[t1] * scales[t - t1], "K(a, b) is not an integer")
-                for t1 in range(t // 2 + 1)]
-        binom.append(half + half[::-1][1 - t % 2:])
+        return Fraction(-_exp_ints(k0, k0 + 1)[k0 + 1], k0 * scales[k0 + 1])
     strides = [math.prod(t + 1 for t in target[d + 1:]) for d in range(len(target))]
     top = math.prod(t + 1 for t in target) - 1
-    exps: list = [[_exp_ints(k, k - 1, step)[0] for k in degrees]]  # exp(-k_d E), by d
+    exps: list = [[_exp_ints(k, k - 1) for k in degrees]]  # exp(-k_d E), by d
     hands: list = [None]            # S at each vector: part u -> coefficient
     powers: list = [[((), 0, 1)]]   # P at each vector: (sorted q, |q|, coefficient)
     slopes: list = [None]           # |a| E at each vector: (j, coefficient)
@@ -349,8 +331,8 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
             for u, s in hands[g].items():
                 ms, t1 = m * s, sums[g] - u
                 for q, wq, p in powers[i - g]:
-                    q = tuple(sorted((u, *q), reverse=True))
-                    acc[q] = acc.get(q, 0) + binom[w - wq - u][t1] * ms * p
+                    q, t = tuple(sorted((u, *q), reverse=True)), w - wq - u
+                    acc[q] = acc.get(q, 0) + math.comb(t, t1) * odd_quotients(t)[t1] * ms * p
         power = [(q, sum(q), exact_quotient(p, len(q), "P_q is not an integer"))
                  for q, p in acc.items() if p]
         powers.append(power)
@@ -358,12 +340,12 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
         odd = (w - size) % 2
         slope = []
         for j in [*range(2 + odd, k0, 2), *([k0 + 1] if i == top else [])]:
-            e, k_row = 0, binom[w + j]
+            e, q_t = 0, odd_quotients(w + j)
             for q, wq, p in power:
                 if b := bracket.coefficient(tuple(sorted((j - 1, *q), reverse=True))):
                     bt = exact_quotient(scales[j + wq] * b.numerator, b.denominator,
                                         "a scaled bracket is not an integer")
-                    e += k_row[w - wq] * bt * p
+                    e += math.comb(w + j, w - wq) * q_t[w - wq] * bt * p
             if e:
                 slope.append((j, e * size))
         slopes.append(slope)
@@ -379,7 +361,8 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
                         me = m * e
                         for n in [k + 1] if i == top else range(j, k):
                             if h[n - j]:
-                                f[n] += binom[w + n][wb + j] * me * h[n - j]
+                                f[n] += (math.comb(w + n, wb + j) * odd_quotients(w + n)[wb + j]
+                                         * me * h[n - j])
                 if i < top:
                     f = [v and exact_quotient(-k * v, size, "exp(-k E) is not an integer")
                          for v in f]

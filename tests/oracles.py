@@ -140,8 +140,8 @@ def tree_sum(mm: tuple[int, ...]) -> Fraction:
 def exp_fractions(k: int, top: int) -> list[Fraction]:
     """L_k(0), ..., L_k(top), the coefficients of exp(-k B(y)): the
     integers A_n of mvvol.volumes._exp_ints over their scales n! D_n."""
-    a, scales = volumes._exp_ints(k, top, exact_arith._odd_prime_steps(top))
-    return [Fraction(x, s) for x, s in zip(a, scales)]
+    scales = exact_arith.odd_scales(top)[2]
+    return [Fraction(x, s) for x, s in zip(volumes._exp_ints(k, top), scales)]
 
 
 def hypertree_sum(key: tuple[int, ...]) -> Fraction:

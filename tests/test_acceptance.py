@@ -65,7 +65,9 @@ def off_by_one(fn):
     (9, bracket, "_tree_sum"),
     (10, exact_arith, "_odd_prime_steps"),
     (10, exact_arith, "_tangent_numbers"),
-], ids=["09-two-zero-sum", "09-tree-sum", "10-odd-prime-steps", "10-tangent-numbers"])
+    (10, exact_arith, "odd_quotients"),
+], ids=["09-two-zero-sum", "09-tree-sum", "10-odd-prime-steps", "10-tangent-numbers",
+        "10-quotient-rows"])
 def test_criterion_fails_on_an_off_by_one(monkeypatch, index, module, name):
     # each check must see a wrong value in the shipped code it covers;
     # caches are cleared on both sides so no memo hides or keeps the mutant

@@ -106,6 +106,81 @@ def test_bernoulli_from_concurrent_threads():
     assert results == [[ORACLE_BERNOULLI[n] for n in ns] for ns in wanted]
 
 
+def oracle_scales(top):
+    # the columns D_n / D_(n-1), D_n and n! D_n for n = 0 .. top, with
+    # D_n = prod p^floor(n/(p-1)) over the odd primes p, found by trial division
+    primes = [p for p in range(3, top + 2, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+    d = [math.prod(p ** (n // (p - 1)) for p in primes) for n in range(top + 1)]
+    return ([1] + [d[n] // d[n - 1] for n in range(1, top + 1)], d,
+            [math.factorial(n) * d[n] for n in range(top + 1)])
+
+
+ORACLE_SCALES = oracle_scales(300)
+
+
+def oracle_row(t):
+    d = ORACLE_SCALES[1]
+    return tuple(Fraction(d[t], d[j] * d[t - j]) for j in range(t + 1))
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 5, 17, 40, 100, 300), (300, 3), (7, 300)])
+def test_scale_table_growth_matches_prime_products(order):
+    # grown in steps or built cold, the three columns agree with the prime
+    # product formula as far as they reach, and with a cold build of their length
+    clear_caches()
+    assert exact_arith._SCALES == ((), (), ())
+    for n in order:
+        columns = exact_arith.odd_scales(n)
+        assert all(len(column) == len(columns[0]) > n for column in columns)
+        for column, expected in zip(columns, ORACLE_SCALES):
+            assert list(column[:301]) == expected[:len(column)], n
+    grown = exact_arith._SCALES
+    clear_caches()
+    assert exact_arith.odd_scales(len(grown[0]) - 1) == grown
+
+
+def test_quotient_rows_divide_the_scales():
+    # Q_t[j] D_j D_(t-j) = D_t: each row is the integer row of the oracle,
+    # symmetric in j, and the scale table is asked for no more than it holds
+    clear_caches()
+    for t in range(301):
+        row = exact_arith.odd_quotients(t)
+        d = exact_arith.odd_scales(t)[1]
+        assert all(type(q) is int and q * d[j] * d[t - j] == d[t] for j, q in enumerate(row)), t
+        assert row == oracle_row(t) == row[::-1], t
+    assert exact_arith.odd_quotients(5) == (1, 1, 5, 5, 1, 1)
+    assert len(exact_arith._QUOTIENTS) == 301
+
+
+def test_scale_tables_from_concurrent_threads():
+    # more threads than cores, switching often, each growing the scale
+    # table and the quotient rows from empty in its own order
+    wanted = [[300, 2, 100], [150, 298, 4], [40, 260, 122], [200, 6, 300]]
+    expected = [[(tuple(column[n] for column in ORACLE_SCALES), oracle_row(n)) for n in ns]
+                for ns in wanted]
+    clear_caches()
+    results = [None] * len(wanted)
+    barrier = threading.Barrier(len(wanted))
+
+    def work(i):
+        barrier.wait()
+        results[i] = [(tuple(column[n] for column in exact_arith.odd_scales(n)),
+                       exact_arith.odd_quotients(n)) for n in wanted[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(wanted))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+
+
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)

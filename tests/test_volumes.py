@@ -262,10 +262,16 @@ def test_one_zero_layer_sums_no_bracket_series(monkeypatch):
 
 def test_exp_series_checks_its_integer_division(monkeypatch):
     # without the odd-prime scaling D_n, c_2 = 2 b(1) = 1/3 no longer
-    # divides out, and the series refuses rather than rounding
+    # divides out, and the series refuses rather than rounding; the scale
+    # table is cleared on both sides so that it holds the patched steps
+    clear_caches()
     monkeypatch.setattr(exact_arith, "_odd_prime_steps", lambda top: [1] * (top + 1))
-    with pytest.raises(ArithmeticError, match="not an integer"):
-        oracles.exp_fractions(5, 6)
+    try:
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            oracles.exp_fractions(5, 6)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 TWO_ZERO_KEYS = [(k1, k2) for k1 in range(1, 41) for k2 in range(1, k1 + 1)] + [
@@ -300,18 +306,51 @@ def test_two_zero_layer_reads_no_bracket(monkeypatch):
 
 def test_two_zero_convolution_checks_its_common_denominator(monkeypatch):
     # the slopes c_12 .. c_20 of H(9, 9) bring the primes 13, 17 and 19,
-    # which only the steps above 10 carry; both series stop at y^10
+    # which only the steps above 10 carry; both series stop at y^10.  The
+    # scale table is cleared on both sides so that it holds the patched
+    # steps, and Q reads the steps up to 20 only, however long the table
     steps = exact_arith._odd_prime_steps
+    clear_caches()
     monkeypatch.setattr(exact_arith, "_odd_prime_steps",
                         lambda top: [s if n <= 10 else 1 for n, s in enumerate(steps(top))])
-    with pytest.raises(ArithmeticError, match="does not divide"):
-        volumes._two_zero_sum(10, 10)
-    monkeypatch.undo()
+    try:
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            volumes._two_zero_sum(10, 10)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            volumes._two_zero_sum(60, 60)  # after the table grows to 120
+        assert len(exact_arith._SCALES[0]) > 120
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            volumes._two_zero_sum(10, 10)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
     # a slope beyond the primes up to k1 + k2 + 1
     slope = exact_arith.frak_slope
     monkeypatch.setattr(volumes, "frak_slope", lambda s: slope(s) / (23 if s > 10 else 1))
     with pytest.raises(ArithmeticError, match="does not divide"):
         volumes._two_zero_sum(10, 10)
+
+
+def test_two_zero_convolution_ignores_a_longer_scale_table():
+    # a larger stratum first grows the shared scale table; Q still reads
+    # the steps up to k1 + k2, and the value is the same Fraction
+    clear_caches()
+    cold = volumes._two_zero_sum(10, 10)
+    clear_caches()
+    volume([59, 59], max_weight=120)
+    assert len(exact_arith._SCALES[0]) > 120
+    assert_same_fraction(volumes._two_zero_sum(10, 10), cold, (10, 10))
+
+
+def test_one_and_two_zeros_build_no_quotient_row():
+    # only the lattice series (brackets of three or more parts and the
+    # hypertree loop) read the rows Q_t
+    clear_caches()
+    for degrees in ([40], [120], [30, 20], [59, 59], [7, 5]):
+        volume(degrees, max_weight=200)
+    assert exact_arith._SCALES[0] and exact_arith._QUOTIENTS == {}
+    volume([2, 1, 1])
+    assert exact_arith._QUOTIENTS
 
 
 def test_principal_stratum_reads_one_bracket(monkeypatch):
@@ -371,17 +410,21 @@ def test_hypertree_strata_match_fraction_oracle():
 
 def test_hypertree_loop_checks_its_integer_divisions(monkeypatch):
     # without the odd-prime scaling D_n the exp(-k B) series refuses; with
-    # it only up to y^(k_0 - 1), which the series read, K(a, b) does
-    monkeypatch.setattr(exact_arith, "_odd_prime_steps", lambda top: [1] * (top + 1))
-    with pytest.raises(ArithmeticError, match="not an integer"):
-        volumes._hypertree_sum((3, 3, 3))
-    monkeypatch.undo()
+    # it only up to y^(k_0 - 1), which the series read, the row of K(a, b)
+    # does.  The scale table is cleared on both sides of each patch so that
+    # it holds the patched steps
     steps = exact_arith._odd_prime_steps
-    monkeypatch.setattr(exact_arith, "_odd_prime_steps",
-                        lambda top: [s if n <= 2 else 1 for n, s in enumerate(steps(top))])
-    with pytest.raises(ArithmeticError, match="K\\(a, b\\) is not an integer"):
-        volumes._hypertree_sum((3, 3, 3))
-    monkeypatch.undo()
+    for patched, message in [(lambda top: [1] * (top + 1), "not an integer"), (
+            lambda top: [s if n <= 2 else 1 for n, s in enumerate(steps(top))],
+            "Q_t is not an integer")]:
+        clear_caches()
+        monkeypatch.setattr(exact_arith, "_odd_prime_steps", patched)
+        try:
+            with pytest.raises(ArithmeticError, match=message):
+                volumes._hypertree_sum((3, 3, 3))
+        finally:
+            monkeypatch.undo()
+            clear_caches()
     # a bracket whose denominator t! D_t does not clear
     coefficient = bracket.coefficient
     monkeypatch.setattr(bracket, "coefficient", lambda mm: coefficient(mm) / 23)
@@ -531,17 +574,19 @@ def test_clear_caches_empties_every_memo():
     tables = (bracket._CACHE, bracket._PLANTED, bracket._WEIGHTS, wick._CACHE,
               volumes._VOLUME_CACHE)
     # H(2, 1, 1) sums two bracket series, which read the odd-prime scales
+    # and their quotient rows
     clear_caches()
     volume(Stratum([2, 1, 1]))
     capital_f(3)
     multi_bracket([(1, 1), (2,)])
     assert all(m.cache_info().currsize > 0 for m in memos)
     assert all(tables)
-    assert exact_arith._TANGENTS and exact_arith._ODD_SCALES
+    assert exact_arith._TANGENTS and all(exact_arith._SCALES) and exact_arith._QUOTIENTS
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
     assert [len(t) for t in tables] == [0, 0, 0, 0, 0]
-    assert exact_arith._TANGENTS == exact_arith._ODD_SCALES == ()
+    assert exact_arith._TANGENTS == () and exact_arith._SCALES == ((), (), ())
+    assert exact_arith._QUOTIENTS == {}
 
 
 def test_relative_error_frozen():
