@@ -23,13 +23,15 @@ MV_CACHE environment variable overrides the flag.  The file is format 2:
 {"version": 2, "entries": {key: {"num", "den", "pi_exp", "crc32"}}}, with
 the canonical stratum key, num and den as digit strings, and crc32 the
 binascii.crc32 of "key|num|den|pi_exp".  On load every key, field, checksum
-and the pi^(2g) grading are checked, and the squared digit counts of all
-num and den may sum to at most CACHE_MAX_DIGITS**2; a file that fails any
-check, or of another version, exits 2.  The checksum catches corruption and
-hand edits, not an edit that recomputes it.  A run that computed new
-volumes merges them into the file under an exclusive lock on PATH.lock, so
-concurrent runs keep each other's entries; the file is checked again then,
-and one that fails exits 2 as well.
+and the pi^(2g) grading are checked on the text, and the squared digit
+counts of all num and den may sum to at most CACHE_MAX_DIGITS**2; a file
+that fails any check, or of another version, exits 2 and publishes
+nothing.  An entry's digits are converted to its value only when the run
+reads it.  The checksum catches corruption and hand edits, not an edit
+that recomputes it.  A run that computed new volumes merges them into the
+file under an exclusive lock on PATH.lock, so concurrent runs keep each
+other's entries; the file is checked again then, and one that fails exits
+2 as well.
 """
 
 from __future__ import annotations
@@ -38,11 +40,14 @@ import argparse
 import binascii
 import fcntl
 import json
+import operator
 import os
+import re
 import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import siegel_veech, volumes
@@ -54,6 +59,7 @@ from .volumes import (
     InvalidStratumError,
     Stratum,
     _relative_error,
+    _volume_value,
     principal_volume,
     volume,
 )
@@ -61,9 +67,10 @@ from .volumes import (
 __all__ = ["main", "entry", "parse_stratum", "load_cache", "save_cache", "CacheError"]
 
 CACHE_VERSION = 2
-# Reading n digits costs time quadratic in n: the num and den strings of one
-# cache file may have squared lengths summing to at most CACHE_MAX_DIGITS**2,
-# under half a second of conversion (H(598) has 2,959 digits).
+# Converting n digits costs time quadratic in n: the num and den strings of
+# one cache file may have squared lengths summing to at most
+# CACHE_MAX_DIGITS**2, so a save, which converts every entry, spends under
+# half a second on it (H(598) has 2,959 digits).
 CACHE_MAX_DIGITS = 100_000
 
 
@@ -88,13 +95,20 @@ def parse_stratum(text: str) -> Stratum:
 # -- cache file ------------------------------------------------------------
 
 
+# positive ASCII integers without sign or leading zero, joined by commas;
+# the empty key is the torus
+_KEY = re.compile(r"(?:[1-9][0-9]*(?:,[1-9][0-9]*)*)?")
+
+
 def _key_degrees(key: str) -> tuple[int, ...]:
-    """Degrees of a cache key spelled as Stratum.key spells it; ValueError
-    otherwise."""
-    st = Stratum(map(int, key.split(",")) if key else ())
-    if st.key != key:
+    """Degrees of a cache key spelled as Stratum.key spells it: the key
+    pattern, decreasing degrees and an even sum; ValueError otherwise."""
+    if not _KEY.fullmatch(key):
         raise ValueError(f"not a canonical stratum key: {key!r}")
-    return st.degrees
+    degrees = tuple(map(int, key.split(","))) if key else ()
+    if sum(degrees) % 2 or not all(map(operator.ge, degrees, degrees[1:])):
+        raise ValueError(f"not a canonical stratum key: {key!r}")
+    return degrees
 
 
 def _is_digits(text: object) -> bool:
@@ -105,10 +119,11 @@ def _checksum(key: str, num: str, den: str, pi_exp: int) -> int:
     return binascii.crc32(f"{key}|{num}|{den}|{pi_exp}".encode())
 
 
-def _read_cache(path: str) -> dict[tuple[int, ...], PiValue]:
-    """The entries of a cache file written by save_cache, all checked and
-    none published; empty if the file does not exist yet.  Anything
-    save_cache would not have written raises CacheError."""
+def _read_cache(path: str) -> dict[tuple[int, ...], tuple[str, str, int]]:
+    """The entries of a cache file written by save_cache, as checked
+    (num, den, pi_exp) records, none converted and none published; empty if
+    the file does not exist yet.  Anything save_cache would not have written
+    raises CacheError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -124,7 +139,7 @@ def _read_cache(path: str) -> dict[tuple[int, ...], PiValue]:
     entries = data.get("entries")
     if not isinstance(entries, dict):
         raise CacheError(f"cache {path} has no entries object")
-    loaded: dict[tuple[int, ...], PiValue] = {}
+    records: dict[tuple[int, ...], tuple[str, str, int]] = {}
     budget = CACHE_MAX_DIGITS**2
     for key, rec in entries.items():
         try:
@@ -144,43 +159,50 @@ def _read_cache(path: str) -> dict[tuple[int, ...], PiValue]:
         crc = rec.get("crc32")
         if type(crc) is not int or crc != _checksum(key, num, den, exp):
             raise CacheError(f"cache entry {key!r} in {path} fails its checksum")
-        # int() refuses more digits than sys.get_int_max_str_digits(); Decimal does not
-        num, den = int(Decimal(num)), int(Decimal(den))
-        if num == 0 or den == 0:
+        if not (num.strip("0") and den.strip("0")):
             raise CacheError(f"malformed cache entry {key!r} in {path}")
         if exp != sum(degrees) + 2:
             raise CacheError(
                 f"cache entry {key!r} claims pi-exponent {exp}, expected {sum(degrees) + 2}"
             )
-        loaded[degrees] = PiValue(Fraction(num, den), exp)
-    return loaded
+        records[degrees] = (num, den, exp)
+    return records
+
+
+def _cache_value(num: str, den: str, pi_exp: int) -> PiValue:
+    """The volume a checked cache record spells."""
+    # int() refuses more digits than sys.get_int_max_str_digits(); Decimal does not
+    return PiValue(Fraction(int(Decimal(num)), int(Decimal(den))), pi_exp)
 
 
 def load_cache(path: str) -> set[tuple[int, ...]]:
-    """Populate the volume memo from a cache file written by save_cache.
+    """Hand the entries of a cache file written by save_cache to the volume
+    memo, each converted to its PiValue on its first read (volumes.preload).
 
     Returns the keys the file holds (none if it does not exist yet).
     Anything save_cache would not have written raises CacheError, and then
     the memo is left as it was: entries are published only once all pass.
     """
-    loaded = _read_cache(path)
-    volumes.volume_cache().update(loaded)
-    return set(loaded)
+    records = _read_cache(path)
+    volumes.preload({degrees: partial(_cache_value, *rec) for degrees, rec in records.items()})
+    return set(records)
 
 
 def save_cache(path: str) -> None:
-    """Merge the volume memo into the cache file at path.
+    """Merge the volumes the memo holds into the cache file at path.
 
     Under an exclusive fcntl lock on the sidecar PATH.lock, the file is read
     again with load_cache's checks (CacheError if it fails them), without
-    publishing it to the memo, and the union of its entries and the memo's
-    is written atomically (temp file, then os.replace).  So concurrent runs
-    keep each other's new entries.
+    publishing it to the memo, and the union of its entries and the memo's,
+    preloaded ones included, is written atomically (temp file, then
+    os.replace).  So concurrent runs keep each other's new entries.  Every
+    value is converted and written in lowest terms, which bounds the
+    conversion by the file's digit budget.
     """
     with open(f"{path}.lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-        merged = _read_cache(path)
-        merged.update(volumes.volume_cache())
+        merged = {degrees: _cache_value(*rec) for degrees, rec in _read_cache(path).items()}
+        merged.update(volumes.held_volumes())
         entries = {}
         for degrees, value in merged.items():
             key = ",".join(str(d) for d in degrees)
@@ -225,11 +247,10 @@ def _volume_record(res) -> dict:
 
 def _cmd_volume(args) -> int:
     st = parse_stratum(args.stratum)
-    res = volume(st, max_weight=args.max_weight)
     if args.format == "json":
-        print(json.dumps(_volume_record(res), sort_keys=True))
+        print(json.dumps(_volume_record(volume(st, max_weight=args.max_weight)), sort_keys=True))
     else:
-        print(_shown(res.value, args))
+        print(_shown(_volume_value(st, args.max_weight), args))
     return 0
 
 
@@ -244,7 +265,7 @@ def _cmd_principal(args) -> int:
     val = principal_volume(args.genus)
     matches: Optional[bool] = None
     if args.verify:
-        general = volume(Stratum([1] * (2 * args.genus - 2)), max_weight=args.max_weight).value
+        general = _volume_value(Stratum([1] * (2 * args.genus - 2)), args.max_weight)
         matches = general == val
     if args.format == "json":
         record = {"genus": args.genus, **_exact_fields(val)}

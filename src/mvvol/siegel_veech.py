@@ -53,7 +53,7 @@ from .volumes import (
     Stratum,
     StratumLike,
     _as_stratum,
-    volume,
+    _volume_value,
 )
 
 __all__ = [
@@ -132,8 +132,8 @@ def _config(kind: str, st: Stratum, zeros: tuple[int, ...], added: Sequence[int]
     """factor * vol(derived) / vol(st), the derived stratum dropping the
     zeros at the indices `zeros` and gaining the degrees `added`."""
     rest = [d for k, d in enumerate(st.degrees, 1) if k not in zeros]
-    top = volume(Stratum(rest + list(added)), max_weight=max_weight).value
-    bot = volume(st, max_weight=max_weight).value
+    top = _volume_value(Stratum(rest + list(added)), max_weight)
+    bot = _volume_value(st, max_weight)
     return _result(kind, st, top / bot * factor, predictor, zeros, angle)
 
 
@@ -160,15 +160,15 @@ def sc2_principal(g: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     st = Stratum([1] * (2 * g - 2))
     fact = math.factorial
     total = PiValue.zero()
-    whole = volume(st, max_weight=max_weight).value
+    whole = _volume_value(st, max_weight)
     for g1 in range(1, g):
         g2 = g - g1
         a = Fraction(
             fact(2 * g - 4) * fact(4 * g1 - 3) * fact(4 * g2 - 3),
             fact(2 * g1 - 2) * fact(2 * g2 - 2) * fact(4 * g - 5),
         )
-        v1 = volume(Stratum([1] * (2 * g1 - 2)), max_weight=max_weight).value
-        v2 = volume(Stratum([1] * (2 * g2 - 2)), max_weight=max_weight).value
+        v1 = _volume_value(Stratum([1] * (2 * g1 - 2)), max_weight)
+        v2 = _volume_value(Stratum([1] * (2 * g2 - 2)), max_weight)
         total += (v1 * v2 / whole) * a
     return _result("sc2", st, total / 4, 0)
 

@@ -103,7 +103,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import groupby, product
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import bracket, exact_arith, f_expansion, wick
 from .combinatorics import Partition, partitions_of_size
@@ -212,6 +212,8 @@ class VolumeResult:
 
 
 _VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
+# stripped stratum -> builder of its volume, from preload until first read
+_LOADED: dict[tuple[int, ...], Callable[[], PiValue]] = {}
 
 
 def _exp_ints(k: int, top: int) -> list[int]:
@@ -418,6 +420,40 @@ def _relative_error(value: PiValue, predicted: Fraction, digits: int = 15) -> De
         return +eps
 
 
+def _volume_value(st: Stratum, max_weight: int) -> PiValue:
+    """The memoized volume of st, the value volume() reports.
+
+    A stratum the memo lacks is built from its loaded builder (preload), if
+    it has one, and computed otherwise, subject to max_weight.
+    """
+    key = st.stripped
+    value = _VOLUME_CACHE.get(key)
+    if value is not None:
+        return value
+    build = _LOADED.get(key)
+    if build is not None:
+        # published before the builder is dropped, so a thread that finds
+        # no builder finds the value on its second read below
+        value = _VOLUME_CACHE.setdefault(key, build())
+        _LOADED.pop(key, None)
+        return value
+    value = _VOLUME_CACHE.get(key)
+    if value is not None:
+        return value
+    if key:
+        weight = sum(d + 1 for d in key)
+        if weight > max_weight:
+            raise InfeasibleSizeError(weight, max_weight)
+        value = 2 * c_value([d + 1 for d in key])
+    else:
+        value = 2 * c_value((1,))  # torus convention: H() and H(0,...)
+    q, e = value.monomial()
+    if q <= 0 or e != 2 * st.genus:
+        raise AssertionError(f"volume of {st} violates the pi^(2g) form: {value}")
+    _VOLUME_CACHE[key] = value
+    return value
+
+
 def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult:
     """Exact normalized volume of the stratum with the given zero degrees.
 
@@ -425,25 +461,8 @@ def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult
     sum (m_i + 1) over positive degrees exceeds max_weight.
     """
     st = _as_stratum(s)
-    stripped = st.stripped
     start = time.perf_counter()
-
-    cached = _VOLUME_CACHE.get(stripped)
-    if cached is not None:
-        value = cached
-    else:
-        if stripped:
-            weight = sum(d + 1 for d in stripped)
-            if weight > max_weight:
-                raise InfeasibleSizeError(weight, max_weight)
-            value = 2 * c_value([d + 1 for d in stripped])
-        else:
-            value = 2 * c_value((1,))  # torus convention: H() and H(0,...)
-        q, e = value.monomial()
-        if q <= 0 or e != 2 * st.genus:
-            raise AssertionError(f"volume of {st} violates the pi^(2g) form: {value}")
-        _VOLUME_CACHE[stripped] = value
-
+    value = _volume_value(st, max_weight)
     pred = prediction(st)
     return VolumeResult(
         stratum=st,
@@ -474,16 +493,36 @@ def principal_volume(g: int) -> PiValue:
 
 
 def clear_caches() -> None:
-    """Drop every memo table in the package: volumes here, then each
-    module's own: Wick sums, brackets, capital_f expansions, and the
-    tangent numbers with the Bernoulli numbers and slopes.  The reference
-    sums in tests/oracles.py keep a table of their own, which
-    oracles.clear() empties."""
+    """Drop every memo table in the package: volumes here, with the
+    builders preload left unread, then each module's own: Wick sums,
+    brackets, capital_f expansions, and the tangent numbers with the
+    Bernoulli numbers and slopes.  The reference sums in tests/oracles.py
+    keep a table of their own, which oracles.clear() empties."""
     _VOLUME_CACHE.clear()
+    _LOADED.clear()
     for module in (wick, bracket, f_expansion, exact_arith):
         module.clear_cache()
 
 
 def volume_cache() -> dict[tuple[int, ...], PiValue]:
-    """Live handle on the stratum -> volume memo (used by the CLI cache)."""
+    """Live handle on the stratum -> volume memo: the volumes computed or
+    read so far, without the preloaded ones not yet read."""
     return _VOLUME_CACHE
+
+
+def preload(builders: dict[tuple[int, ...], Callable[[], PiValue]]) -> None:
+    """Serve the volume of each stripped stratum in builders from its
+    builder, called on the stratum's first read and then dropped.  A value
+    the memo already holds for such a stratum is dropped, so the builder's
+    wins (used by the CLI cache)."""
+    _LOADED.update(builders)
+    for key in builders:
+        _VOLUME_CACHE.pop(key, None)
+
+
+def held_volumes() -> dict[tuple[int, ...], PiValue]:
+    """Every volume the memo holds or has a builder for, the unread builders
+    called but not published (used by the CLI cache)."""
+    held = {key: build() for key, build in _LOADED.copy().items()}
+    held.update(_VOLUME_CACHE)
+    return held

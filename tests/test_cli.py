@@ -173,7 +173,7 @@ def test_principal_bad_genus(capsys):
 def test_principal_refused_above_weight_bound(argv, weight, capsys, monkeypatch):
     # the bound of H(1^(2G-2)), weight 4G - 4, holds before the closed form
     # is summed, with or without --verify
-    for name in ("volume", "principal_volume"):
+    for name in ("volume", "_volume_value", "principal_volume"):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run(argv, capsys)
     assert code == 3
@@ -272,7 +272,7 @@ def refuse(*args, **kwargs):
 @pytest.mark.parametrize("kind", [k for k, spec in siegel_veech.KINDS.items() if spec.zeros])
 def test_sv_missing_zeros(kind, capsys, monkeypatch):
     # one zero index too few and one too many, both refused before any volume
-    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
+    monkeypatch.setattr(cli.siegel_veech, "_volume_value", refuse)
     spec = siegel_veech.KINDS[kind]
     angle = ["--angle", "1"] if spec.angle else []
     for n in (spec.zeros - 1, spec.zeros + 1):
@@ -303,7 +303,7 @@ SV_IGNORED_FLAGS = {
 
 @pytest.mark.parametrize("kind", sorted(SV_IGNORED_FLAGS))
 def test_sv_rejects_flags_its_kind_ignores(kind, capsys, monkeypatch):
-    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
+    monkeypatch.setattr(cli.siegel_veech, "_volume_value", refuse)
     stratum, *flags = SV_IGNORED_FLAGS[kind]
     code, out, err = run(["sv", stratum, "--kind", kind, *flags], capsys)
     assert code == 2
@@ -346,9 +346,9 @@ def test_sv_loop_per_angle_refuses_zero_of_degree_below_two(stratum, zero, angle
     ["sv", "3,1", "--kind", "loop_per_angle", "--zeros", "1", "--angle", "0"],
 ])
 def test_numeric_flags_checked_before_any_computation(argv, capsys, monkeypatch):
-    for name in ("volume", "principal_volume"):
+    for name in ("volume", "_volume_value", "principal_volume"):
         monkeypatch.setattr(cli, name, refuse)
-    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
+    monkeypatch.setattr(cli.siegel_veech, "_volume_value", refuse)
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
@@ -474,6 +474,107 @@ def test_save_waits_for_the_lock_and_merges(tmp_path):
     assert set(json.loads(path.read_text())["entries"]) == {"1,1", "2"}
 
 
+def test_warm_volume_builds_only_the_value_it_reads(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    clear_caches()
+    code, _, _ = run(["table", "--max-size", "8", "--max-weight", "16", "--cache", str(path)],
+                     capsys)
+    assert code == 0
+    assert len(json.loads(path.read_text())["entries"]) == 40
+    built = []
+    build = cli._cache_value
+
+    def spy(*rec):
+        built.append(rec)
+        return build(*rec)
+
+    monkeypatch.setattr(cli, "_cache_value", spy)
+    monkeypatch.setattr(volumes, "c_value", refuse)
+    clear_caches()
+    code, out, _ = run(["volume", "1,1", "--cache", str(path)], capsys)
+    assert (code, out) == (0, "1/135 * pi^4\n")
+    assert built == [("1", "135", 4)]
+    assert set(volume_cache()) == {(1, 1)}
+    clear_caches()  # the unread builders go with the memo
+    assert volumes.held_volumes() == {}
+
+
+def test_load_replaces_a_value_the_memo_held(tmp_path):
+    # the file's value wins over the memo's, as when load published it all
+    path = tmp_path / "c.json"
+    write_cache(path, {"2": cache_entry("2", "1", "7", 4)})
+    clear_caches()
+    assert volume(Stratum([2])).value == PiValue(Fraction(1, 120), 4)
+    assert cli.load_cache(str(path)) == {(2,)}
+    assert (2,) not in volume_cache()
+    assert volume(Stratum([2])).value == PiValue(Fraction(1, 7), 4)
+
+
+def test_entry_out_of_lowest_terms_reads_and_saves_reduced(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    write_cache(path, {"1,1": cache_entry("1,1", "2", "270", 4)})
+    reduced = {"1,1": cache_entry("1,1", "1", "135", 4)}
+    clear_caches()
+    cli.load_cache(str(path))
+    cli.save_cache(str(path))  # the entry unread: saving builds it
+    assert json.loads(path.read_text())["entries"] == reduced
+    write_cache(path, {"1,1": cache_entry("1,1", "2", "270", 4)})
+    clear_caches()
+    code, out, _ = run(["volume", "1,1", "--cache", str(path)], capsys)
+    assert (code, out) == (0, "1/135 * pi^4\n")
+    cli.save_cache(str(path))
+    assert json.loads(path.read_text())["entries"] == reduced
+
+
+def test_save_keeps_loaded_entries_not_read(tmp_path):
+    # a save to another path writes the entries loaded from the first one,
+    # read or not, without publishing the unread ones
+    src, dst = tmp_path / "a.json", tmp_path / "b.json"
+    write_cache(src, {"2": cache_entry("2", "1", "120", 4),
+                      "4": cache_entry("4", "61", "108864", 6)})
+    clear_caches()
+    cli.load_cache(str(src))
+    volume(Stratum([4]))
+    volume(Stratum([1, 1]))
+    cli.save_cache(str(dst))
+    assert set(json.loads(dst.read_text())["entries"]) == {"1,1", "2", "4"}
+    assert set(volume_cache()) == {(1, 1), (4,)}
+
+
+def test_first_read_of_a_loaded_entry_from_threads(tmp_path):
+    # every thread gets the file's value: max_weight=1 refuses to compute
+    # it, so a thread that found neither the builder nor the value raises
+    path = tmp_path / "c.json"
+    write_cache(path, {"3,1": cache_entry("3,1", "16", "42525", 6)})
+    expected = PiValue(Fraction(16, 42525), 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            clear_caches()
+            cli.load_cache(str(path))
+            barrier = threading.Barrier(8)
+            values, errors = [], []
+
+            def read():
+                barrier.wait()
+                try:
+                    values.append(volume(Stratum([3, 1]), max_weight=1).value)
+                except Exception as exc:  # collected, so the test reports it
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert values == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_save_rechecks_the_file(tmp_path, capsys, monkeypatch):
     # a file that turns bad between load and save exits 2 and is kept
     path = tmp_path / "c.json"
@@ -529,6 +630,7 @@ def test_cache_rejected_late_leaves_memo_unchanged(tmp_path):
         cli.load_cache(str(path))
     assert volume_cache() == before
     assert (1, 1) not in volume_cache()
+    assert volumes.held_volumes() == before  # no builder was handed over
 
 
 @pytest.mark.parametrize("key, rec", [
