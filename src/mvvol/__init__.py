@@ -3,13 +3,15 @@
 Computes normalized volumes as exact rational multiples of powers of pi,
 compares them against their large-genus approximations, and derives
 Siegel-Veech style counting constants from exact volume ratios.
+
+The reference layer that the tests check volumes against is not exported
+and no shipped module imports it: mvvol.wick holds multi_bracket, and
+mvvol.f_expansion holds capital_f and partitions_of_weight.
 """
 
 from .exact_arith import PiValue, bernoulli, frak_z, zeta_even
-from .combinatorics import Partition, partitions_of_size, partitions_of_weight
+from .combinatorics import Partition, partitions_of_size
 from .bracket import error_term, single_bracket
-from .f_expansion import capital_f
-from .wick import multi_bracket
 from .volumes import (
     InfeasibleSizeError,
     InvalidStratumError,
@@ -42,11 +44,8 @@ __all__ = [
     "frak_z",
     "Partition",
     "partitions_of_size",
-    "partitions_of_weight",
     "single_bracket",
     "error_term",
-    "capital_f",
-    "multi_bracket",
     "Stratum",
     "VolumeResult",
     "c_value",

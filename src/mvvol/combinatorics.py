@@ -1,9 +1,9 @@
-r"""Integer partitions, graded by size or by weight.
+r"""Integer partitions, graded by size.
 
-The package reads integer partitions graded either by size |lam| or by
-weight wt(lam) = |lam| + len(lam): the CLI's table, the principal closed
-form and the selftest run over partitions of a size, and the power-sum
-expansion in f_expansion over partitions of a weight.
+The CLI's table, the principal closed form and the selftest run over the
+partitions of a size.  The partitions of a weight |lam| + len(lam), the
+supports of the power-sum expansion, are listed next to their only
+reader, f_expansion.
 
 The set partitions that define the brackets and the Wick sum are never
 enumerated by the package: bracket, wick and volumes sum them as trees of
@@ -19,7 +19,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "Partition",
     "partitions_of_size",
-    "partitions_of_weight",
 ]
 
 
@@ -74,12 +73,3 @@ def partitions_of_size(n: int) -> list[Partition]:
     if n < 0:
         raise ValueError("partition size must be nonnegative")
     return [Partition(t) for t in _partitions(n, n if n else 1)]
-
-
-def partitions_of_weight(w: int) -> list[Partition]:
-    """All partitions with size + length = w (so w >= 2), shortest first:
-    the partitions of w into parts >= 2, with 1 taken from each part."""
-    if w < 2:
-        raise ValueError("weight must be at least 2")
-    return sorted((Partition(p - 1 for p in mu) for mu in partitions_of_size(w) if mu[-1] >= 2),
-                  key=len)

@@ -10,9 +10,10 @@ where M_i(lam) is the multiplicity of i in lam.  For k = 1 the only
 weight-2 partition is (1), giving capital_f(1) = p_(1); this degenerate
 degree is what a stratum's marked-point-free torus normalization rests on.
 
-capital_f is a reference implementation off the volume path: the weights
-are exponential, so volumes.c_value sums all supports at once as
-coefficients of exp(-k E) (volumes docstring).
+capital_f and wick.multi_bracket are the reference layer: the tests'
+definition-level oracles, imported by no shipped module.  The weights are
+exponential, so volumes.c_value sums all supports at once as coefficients
+of exp(-k E) (volumes docstring).
 """
 
 from __future__ import annotations
@@ -20,9 +21,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import Partition, partitions_of_weight
+from .combinatorics import Partition, partitions_of_size
 
-__all__ = ["capital_f", "clear_cache"]
+__all__ = ["capital_f", "partitions_of_weight", "clear_cache"]
+
+
+def partitions_of_weight(w: int) -> list[Partition]:
+    """All partitions with size + length = w (so w >= 2), shortest first:
+    the partitions of w into parts >= 2, with 1 taken from each part."""
+    if w < 2:
+        raise ValueError("weight must be at least 2")
+    return sorted((Partition(p - 1 for p in mu) for mu in partitions_of_size(w) if mu[-1] >= 2),
+                  key=len)
 
 
 @lru_cache(maxsize=None)

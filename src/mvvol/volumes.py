@@ -8,11 +8,11 @@ The normalized volume of the unit-area hypersurface is
 
 a single positive rational multiple of pi^(2g) with g = (sum m_i + 2) / 2.
 By definition c_value(a) * |a|! * prod a_i is the Wick sum over the
-power-sum supports of capital_f(a_1), ..., capital_f(a_n); wick and
-f_expansion keep that definition as a reference, and c_value sums it as
-one series.  The complements the Wick sum runs over are enumerated only
-in tests/oracles.py, next to the Fraction forms of the bracket series and
-of the hypertree loop below.
+power-sum supports of capital_f(a_1), ..., capital_f(a_n), and c_value
+sums it as one series.  wick and f_expansion keep that definition as the
+tests' reference; this module does not import them.  The complements the
+Wick sum runs over are enumerated only in tests/oracles.py, next to the
+Fraction forms of the bracket series and of the hypertree loop below.
 
 Write b(.) = bracket.coefficient.  The block-incidence graph of every Wick
 complement is a tree (wick docstring): blocks of one part give factors
@@ -105,7 +105,7 @@ from fractions import Fraction
 from itertools import groupby, product
 from typing import Callable, Iterable, Optional, Union
 
-from . import bracket, exact_arith, f_expansion, wick
+from . import bracket, exact_arith
 from .combinatorics import Partition, partitions_of_size
 from .exact_arith import PiValue, exact_quotient, frak_slope, odd_quotients
 
@@ -493,15 +493,15 @@ def principal_volume(g: int) -> PiValue:
 
 
 def clear_caches() -> None:
-    """Drop every memo table in the package: volumes here, with the
-    builders preload left unread, then each module's own: Wick sums,
-    brackets, capital_f expansions, and the tangent numbers with the
-    Bernoulli numbers and slopes.  The reference sums in tests/oracles.py
-    keep a table of their own, which oracles.clear() empties."""
+    """Drop every memo table of the volume path: volumes here, with the
+    builders preload left unread, the brackets, and the tangent numbers
+    with the Bernoulli numbers, slopes and scales.  The reference layer
+    (wick, f_expansion) and the sums in tests/oracles.py keep tables of
+    their own, which oracles.clear() empties."""
     _VOLUME_CACHE.clear()
     _LOADED.clear()
-    for module in (wick, bracket, f_expansion, exact_arith):
-        module.clear_cache()
+    bracket.clear_cache()
+    exact_arith.clear_cache()
 
 
 def volume_cache() -> dict[tuple[int, ...], PiValue]:

@@ -9,7 +9,9 @@ block weights psi(beta, .)/(j! beta!) as Fractions.  The package sums the
 same series on integers scaled per count vector; this is the view it is
 checked against bit for bit.  The series R^j at the vectors below M are
 kept in this module's own table, keyed on the sub-multiset a vector
-stands for, so a test can sum many related brackets; clear() empties it.
+stands for, so a test can sum many related brackets.  clear() empties it
+and the memos of the package's reference layer, wick and f_expansion,
+which volumes.clear_caches() leaves alone.
 
 hypertree_sum is the hypertree loop of mvvol.volumes (module docstring
 there), c_value(key) * |key|! * prod key, summed on Fractions.  It reads
@@ -37,7 +39,7 @@ from itertools import groupby, product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from mvvol import bracket, exact_arith, volumes
+from mvvol import bracket, exact_arith, f_expansion, volumes, wick
 from mvvol.exact_arith import frak_slope
 
 # sorted sub-multiset -> R^0 .. R^n at its count vector, n its number of parts
@@ -50,6 +52,8 @@ _WEIGHTS: dict[tuple[int, int, int], tuple[list, list]] = {}
 def clear() -> None:
     _SERIES.clear()
     _WEIGHTS.clear()
+    wick.clear_cache()
+    f_expansion.clear_cache()
 
 
 def _weights(s: int, c: int, fact: int, n: int) -> tuple[list, list]:

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from mvvol.combinatorics import Partition, partitions_of_size, partitions_of_weight
+from mvvol.combinatorics import Partition, partitions_of_size
+from mvvol.f_expansion import partitions_of_weight
 from oracles import (
     SetPartition,
     closure_table,

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mvvol.combinatorics import Partition, partitions_of_weight
-from mvvol.f_expansion import capital_f
+from mvvol.combinatorics import Partition
+from mvvol.f_expansion import capital_f, partitions_of_weight
 
 
 def test_frozen_small_expansions():

@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 import oracles
+from test_reference_layer import reference_modules_loaded
 from mvvol import bracket, exact_arith, f_expansion, volumes, wick
 from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
@@ -511,13 +512,13 @@ def test_c_value_matches_grouped_support_wick_sum():
 
 
 def test_closed_forms_make_no_wick_call():
-    # every number of zeros is one series: no Wick sum and no capital_f
-    # expansion is asked for
-    clear_caches()
-    for key in ((7,), (12, 12), (3, 2, 1), (3, 3, 3, 3), (5, 3, 2, 2, 1)):
-        c_value(key)
-    assert not wick._CACHE
-    assert f_expansion._capital_f_items.cache_info().currsize == 0
+    # every number of zeros is one series: in a fresh interpreter, c_value
+    # of any shape leaves the Wick sum and capital_f unloaded
+    keys = ((7,), (12, 12), (3, 2, 1), (3, 3, 3, 3), (5, 3, 2, 2, 1))
+    assert reference_modules_loaded(
+        "from mvvol.volumes import c_value",
+        f"for key in {keys!r}: c_value(key)",
+    ) == []
 
 
 def test_c_value_errors():
@@ -569,24 +570,40 @@ def test_volume_result_fields():
 
 
 def test_clear_caches_empties_every_memo():
-    # volumes skip capital_f and the Wick memo, so fill those directly
-    memos = (exact_arith.bernoulli, exact_arith.frak_slope, f_expansion._capital_f_items)
-    tables = (bracket._CACHE, bracket._PLANTED, bracket._WEIGHTS, wick._CACHE,
-              volumes._VOLUME_CACHE)
+    # every memo of the volume path
+    memos = (exact_arith.bernoulli, exact_arith.frak_slope)
+    tables = (bracket._CACHE, bracket._PLANTED, bracket._WEIGHTS, volumes._VOLUME_CACHE)
     # H(2, 1, 1) sums two bracket series, which read the odd-prime scales
     # and their quotient rows
     clear_caches()
     volume(Stratum([2, 1, 1]))
-    capital_f(3)
-    multi_bracket([(1, 1), (2,)])
     assert all(m.cache_info().currsize > 0 for m in memos)
     assert all(tables)
     assert exact_arith._TANGENTS and all(exact_arith._SCALES) and exact_arith._QUOTIENTS
     clear_caches()
-    assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
-    assert [len(t) for t in tables] == [0, 0, 0, 0, 0]
+    assert [m.cache_info().currsize for m in memos] == [0, 0]
+    assert [len(t) for t in tables] == [0, 0, 0, 0]
     assert exact_arith._TANGENTS == () and exact_arith._SCALES == ((), (), ())
     assert exact_arith._QUOTIENTS == {}
+
+
+def test_oracles_clear_empties_reference_memos():
+    # the reference layer and the Fraction sums keep their memos across
+    # clear_caches(); oracles.clear() empties them
+    oracles.clear()
+    capital_f(3)
+    multi_bracket([(1, 1), (2,)])
+    oracles.tree_sum((2, 2, 1, 1))
+
+    def sizes():
+        return [f_expansion._capital_f_items.cache_info().currsize, len(wick._CACHE),
+                len(oracles._SERIES), len(oracles._WEIGHTS)]
+
+    assert all(sizes())
+    clear_caches()
+    assert all(sizes())
+    oracles.clear()
+    assert sizes() == [0, 0, 0, 0]
 
 
 def test_relative_error_frozen():
