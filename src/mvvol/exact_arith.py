@@ -57,6 +57,7 @@ PI_DIGITS = (
     "1415926535897932384626433832795028841971693993751"
     "058209749445923078164062862089986280348253421170679"
 )
+_PI = Decimal(PI_DIGITS)  # exact in any context
 
 RationalLike = Union[int, Fraction]
 
@@ -182,12 +183,14 @@ class PiValue:
         with localcontext() as ctx:
             ctx.prec = digits + 15
             q = Decimal(self.q.numerator) / Decimal(self.q.denominator)
-            total = q * Decimal(PI_DIGITS) ** self.e
+            total = q * _PI ** self.e
             ctx.prec = digits
             return +total
 
     def to_float(self) -> float:
-        return float(self.q) * math.pi**self.e
+        """The value as a float, through a 17-digit Decimal: math.pi**e
+        overflows a float from e = 621 on, where the value may be small."""
+        return float(self.to_decimal(17))
 
 
 # T_0 = 0, T_1, ..., T_(len - 1); empty until a Bernoulli number is asked for

@@ -86,9 +86,10 @@ and the volume is 2c, summed on the rationals frak_slope(mu_i) / mu_i! with
 pi^(2g) attached once.  Agreement with the general pipeline is a strong
 cross-check of the whole correlator stack (it is exercised in the tests).
 
-prediction(s) is the large-genus approximation 4 / prod (m_i + 1); each
-VolumeResult carries the signed relative deviation of the exact volume from
-it, evaluated to 15 significant digits.
+prediction(s) is the large-genus approximation 4 / prod (m_i + 1).  A
+VolumeResult computes the prediction and the signed relative deviation of
+the exact volume from it, evaluated to 15 significant digits, on first read
+and then keeps them; its elapsed times the value only.
 
 Computation cost grows quickly with sum (m_i + 1); volume() refuses strata
 above a configurable bound (default 14) with a dedicated error so callers
@@ -102,6 +103,7 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby, product
 from typing import Callable, Iterable, Optional, Union
 
@@ -197,13 +199,20 @@ def _as_stratum(s: StratumLike) -> Stratum:
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """Exact volume of a stratum plus its large-genus comparison data."""
+    """Exact volume of a stratum plus its large-genus comparison data, which
+    is computed on first read and then kept."""
 
     stratum: Stratum
     value: PiValue
-    prediction: Fraction
-    relative_error: Decimal
     elapsed: float
+
+    @cached_property
+    def prediction(self) -> Fraction:
+        return prediction(self.stratum)
+
+    @cached_property
+    def relative_error(self) -> Decimal:
+        return _relative_error(self.value, self.prediction)
 
     @property
     def pi_exponent(self) -> Optional[int]:
@@ -463,14 +472,7 @@ def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult
     st = _as_stratum(s)
     start = time.perf_counter()
     value = _volume_value(st, max_weight)
-    pred = prediction(st)
-    return VolumeResult(
-        stratum=st,
-        value=value,
-        prediction=pred,
-        relative_error=_relative_error(value, pred),
-        elapsed=time.perf_counter() - start,
-    )
+    return VolumeResult(st, value, time.perf_counter() - start)
 
 
 def principal_volume(g: int) -> PiValue:

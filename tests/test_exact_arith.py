@@ -390,6 +390,15 @@ def test_pivalue_decimal_rendering():
         v.to_decimal(101)
 
 
+def test_pivalue_to_float():
+    for q, e in [(Fraction(1, 3), 2), (Fraction(-22, 7), 10), (Fraction(5), -4), (Fraction(7, 9), 0)]:
+        assert math.isclose(PiValue(q, e).to_float(), float(q) * math.pi**e, rel_tol=1e-15)
+    assert PiValue.zero().to_float() == 0.0
+    # pi^700 overflows a float; the value is about 1.01e48
+    x = PiValue(Fraction(1, 10**300), 700).to_float()
+    assert math.isclose(math.log10(x), 700 * math.log10(math.pi) - 300, rel_tol=1e-14)
+
+
 def test_pivalue_hash_and_equality():
     a = PiValue(Fraction(1, 6), 2)
     b = PiValue(Fraction(2, 12), 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -464,7 +465,7 @@ def test_hypertree_loop_from_concurrent_threads():
 
 def test_volume_result_pi_exponent_of_zero_is_none():
     st = Stratum([2])
-    res = VolumeResult(st, PiValue.zero(), prediction(st), Decimal(-1), 0.0)
+    res = VolumeResult(st, PiValue.zero(), 0.0)
     assert res.pi_exponent is None
     assert volume(st).pi_exponent == 4
 
@@ -567,6 +568,50 @@ def test_volume_result_fields():
     assert res.relative_error == Decimal("-0.278451177525908")
     assert res.pi_exponent == 4
     assert res.elapsed >= 0.0
+
+
+def test_volume_result_fields_are_the_value_only():
+    assert [f.name for f in dataclasses.fields(VolumeResult)] == ["stratum", "value", "elapsed"]
+
+
+def test_volume_result_compares_on_first_read(monkeypatch):
+    calls = Counter()
+    for name in ("prediction", "_relative_error"):
+        def counted(*args, _name=name, _f=getattr(volumes, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(volumes, name, counted)
+    res = volume(Stratum([3, 1]))
+    assert res.value == mono(16, 42525, 6)
+    assert not calls
+    assert res.relative_error == Decimal("-0.276556044811058")
+    assert res.relative_error == Decimal("-0.276556044811058")
+    assert res.prediction == Fraction(1, 2)
+    assert calls == {"prediction": 1, "_relative_error": 1}
+
+
+def test_relative_error_from_concurrent_threads():
+    # eight threads read the comparison of one fresh result at once
+    res = volume(Stratum([1, 1]))
+    results = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def run(i):
+        barrier.wait()
+        results[i] = res.relative_error
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [Decimal("-0.278451177525908")] * len(results)
 
 
 def test_clear_caches_empties_every_memo():
