@@ -10,7 +10,7 @@ mvvol.f_expansion holds capital_f and partitions_of_weight.
 """
 
 from .exact_arith import PiValue, bernoulli, frak_z, zeta_even
-from .combinatorics import Partition, partitions_of_size
+from .combinatorics import partitions_of_size
 from .bracket import error_term, single_bracket
 from .volumes import (
     InfeasibleSizeError,
@@ -42,7 +42,6 @@ __all__ = [
     "bernoulli",
     "zeta_even",
     "frak_z",
-    "Partition",
     "partitions_of_size",
     "single_bracket",
     "error_term",

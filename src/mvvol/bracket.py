@@ -64,7 +64,9 @@ the vectors below M that no earlier bracket filled, plus M itself, which
 it does not keep.  Each entry is built locally and published by one
 assignment, so concurrent callers may fill a vector twice but always read
 equal series.  coefficient() is the rational entry used by the Wick and
-volume layers, memoized on the sorted multiset.
+volume layers, memoized on the sorted multiset.  single_bracket and
+error_term take m in any order, checked by combinatorics.canonical, which
+refuses a float, bool or str part rather than truncate it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from itertools import groupby, product
 from operator import mul
 from typing import Iterable
 
+from .combinatorics import canonical
 from .exact_arith import PiValue, exact_quotient, frak_slope, odd_quotients, odd_scales
 
 __all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
@@ -87,15 +90,6 @@ _PLANTED: dict[tuple[int, ...], list] = {}
 # (s, c) -> w(d) = psi(d) D_s for d = 0 .. s - c + 2: the integer weights
 # of a block of sum s and size c at tree degree d
 _WEIGHTS: dict[tuple[int, int], list] = {}
-
-
-def _canonical(m: Iterable[int]) -> tuple[int, ...]:
-    t = tuple(sorted((int(v) for v in m), reverse=True))
-    if not t:
-        raise ValueError("bracket of an empty multiset")
-    if t[-1] <= 0:
-        raise ValueError(f"entries must be positive: {t}")
-    return t
 
 
 def _weights(s: int, c: int, scale: int) -> list:
@@ -174,7 +168,7 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
 
 def error_term(m: Iterable[int]) -> PiValue:
     """Correction to the leading frak_z term of single_bracket(m)."""
-    mm = _canonical(m)
+    mm = canonical(m)
     exponent = sum(mm) - len(mm) + 2
     lead = math.factorial(sum(mm)) * frak_slope(exponent) / math.factorial(exponent)
     return PiValue(coefficient(mm) - lead, exponent)
@@ -204,7 +198,7 @@ def coefficient(mm: tuple[int, ...]) -> Fraction:
 
 def single_bracket(m: Iterable[int]) -> PiValue:
     """Exact correlator of the multiset m, built from the coefficient memo."""
-    mm = _canonical(m)
+    mm = canonical(m)
     return PiValue(coefficient(mm), sum(mm) - len(mm) + 2)
 
 

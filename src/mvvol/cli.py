@@ -30,8 +30,8 @@ nothing.  An entry's digits are converted to its value only when the run
 reads it.  The checksum catches corruption and hand edits, not an edit
 that recomputes it.  A run that computed new volumes merges them into the
 file under an exclusive lock on PATH.lock, so concurrent runs keep each
-other's entries; the file is checked again then, and one that fails exits
-2 as well.
+other's entries; the file is checked again then, and one that fails or
+cannot be written (a missing directory, say) exits 2 as well.
 """
 
 from __future__ import annotations
@@ -197,30 +197,33 @@ def save_cache(path: str) -> None:
     preloaded ones included, is written atomically (temp file, then
     os.replace).  So concurrent runs keep each other's new entries.  Every
     value is converted and written in lowest terms, which bounds the
-    conversion by the file's digit budget.
+    conversion by the file's digit budget.  An OSError raises CacheError.
     """
-    with open(f"{path}.lock", "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-        merged = {degrees: _cache_value(*rec) for degrees, rec in _read_cache(path).items()}
-        merged.update(volumes.held_volumes())
-        entries = {}
-        for degrees, value in merged.items():
-            key = ",".join(str(d) for d in degrees)
-            fields = _exact_fields(value)
-            entries[key] = dict(fields, crc32=_checksum(key, **fields))
-        payload = {"version": CACHE_VERSION, "entries": entries}
-        # write beside the target and rename over it, so a failed dump leaves
-        # the old file whole; plain open keeps the umask permissions
-        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+    try:
+        with open(f"{path}.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            merged = {degrees: _cache_value(*rec) for degrees, rec in _read_cache(path).items()}
+            merged.update(volumes.held_volumes())
+            entries = {}
+            for degrees, value in merged.items():
+                key = ",".join(str(d) for d in degrees)
+                fields = _exact_fields(value)
+                entries[key] = dict(fields, crc32=_checksum(key, **fields))
+            payload = {"version": CACHE_VERSION, "entries": entries}
+            # write beside the target and rename over it, so a failed dump leaves
+            # the old file whole; plain open keeps the umask permissions
+            tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+                raise
+    except OSError as exc:
+        raise CacheError(f"cannot write cache {path}: {exc}") from exc
 
 
 # -- rendering ---------------------------------------------------------------

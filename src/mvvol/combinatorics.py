@@ -1,5 +1,8 @@
-r"""Integer partitions, graded by size.
+r"""Integer partitions as plain tuples, and the one check of a multiset.
 
+A partition, and the multiset a bracket or c_value reads, is a tuple of
+positive ints in decreasing order.  canonical() checks a caller's multiset
+and sorts it so, refusing a float, bool or str part, never truncating it.
 The CLI's table, the principal closed form and the selftest run over the
 partitions of a size.  The partitions of a weight |lam| + len(lam), the
 supports of the power-sum expansion, are listed next to their only
@@ -17,46 +20,18 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 __all__ = [
-    "Partition",
+    "canonical",
     "partitions_of_size",
 ]
 
 
-class Partition(tuple):
-    """Integer partition as a weakly decreasing tuple of positive parts."""
-
-    def __new__(cls, parts: Iterable[int] = ()):
-        t = tuple(int(p) for p in parts)
-        if any(p <= 0 for p in t):
-            raise ValueError(f"partition parts must be positive: {t}")
-        if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {t}")
-        return super().__new__(cls, t)
-
-    @property
-    def size(self) -> int:
-        return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    @property
-    def weight(self) -> int:
-        """Size plus length.  The f-expansion of degree k has weight k + 1."""
-        return sum(self) + len(self)
-
-    def multiplicity(self, i: int) -> int:
-        return sum(1 for p in self if p == i)
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def __repr__(self) -> str:
-        return f"Partition{tuple(self)}"
+def canonical(m: Iterable[int]) -> tuple[int, ...]:
+    """m as a tuple sorted in decreasing order.  ValueError unless m is a
+    nonempty multiset of positive ints, a bool not counting as one."""
+    t = tuple(m)
+    if not t or not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in t):
+        raise ValueError(f"expected a nonempty multiset of positive ints: {t}")
+    return tuple(sorted(t, reverse=True))
 
 
 def _partitions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -68,8 +43,8 @@ def _partitions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def partitions_of_size(n: int) -> list[Partition]:
+def partitions_of_size(n: int) -> list[tuple[int, ...]]:
     """All partitions of n, largest first part first; [()] for n = 0."""
     if n < 0:
         raise ValueError("partition size must be nonnegative")
-    return [Partition(t) for t in _partitions(n, n if n else 1)]
+    return list(_partitions(n, n if n else 1))

@@ -18,37 +18,35 @@ of exp(-k E) (volumes docstring).
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import Partition, partitions_of_size
+from .combinatorics import partitions_of_size
 
 __all__ = ["capital_f", "partitions_of_weight", "clear_cache"]
 
 
-def partitions_of_weight(w: int) -> list[Partition]:
+def partitions_of_weight(w: int) -> list[tuple[int, ...]]:
     """All partitions with size + length = w (so w >= 2), shortest first:
     the partitions of w into parts >= 2, with 1 taken from each part."""
     if w < 2:
         raise ValueError("weight must be at least 2")
-    return sorted((Partition(p - 1 for p in mu) for mu in partitions_of_size(w) if mu[-1] >= 2),
+    return sorted((tuple(p - 1 for p in mu) for mu in partitions_of_size(w) if mu[-1] >= 2),
                   key=len)
 
 
 @lru_cache(maxsize=None)
-def _capital_f_items(k: int) -> tuple[tuple[Partition, Fraction], ...]:
+def _capital_f_items(k: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     items = []
     for lam in partitions_of_weight(k + 1):
-        denom = 1
-        for mult in lam.multiplicities().values():
-            for j in range(2, mult + 1):
-                denom *= j
-        coeff = Fraction((-k) ** (len(lam) - 1), denom)
-        items.append((lam, coeff))
+        denom = math.prod(map(math.factorial, Counter(lam).values()))
+        items.append((lam, Fraction((-k) ** (len(lam) - 1), denom)))
     return tuple(items)
 
 
-def capital_f(k: int) -> dict[Partition, Fraction]:
+def capital_f(k: int) -> dict[tuple[int, ...], Fraction]:
     """Coefficient map partition -> rational for the degree-k generator."""
     if k < 1:
         raise ValueError("capital_f is defined for k >= 1")

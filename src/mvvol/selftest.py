@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import Callable
 
@@ -185,9 +186,7 @@ def _check_identities() -> tuple[bool, str]:
             for lam in parts:
                 if len(lam) != k:
                     continue
-                denom = 1
-                for mult in lam.multiplicities().values():
-                    denom *= math.factorial(mult)
+                denom = math.prod(map(math.factorial, Counter(lam).values()))
                 acc += Fraction(math.factorial(k), denom)
             if acc != math.comb(n - 1, k - 1):
                 ok = False

@@ -100,6 +100,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -108,7 +109,7 @@ from itertools import groupby, product
 from typing import Callable, Iterable, Optional, Union
 
 from . import bracket, exact_arith
-from .combinatorics import Partition, partitions_of_size
+from .combinatorics import canonical, partitions_of_size
 from .exact_arith import PiValue, exact_quotient, frak_slope, odd_quotients
 
 __all__ = [
@@ -386,19 +387,17 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
 def c_value(m: Iterable[int]) -> PiValue:
     """Normalized correlator of the incremented degree multiset.
 
-    m must be a nonempty multiset of positive integers.  Not memoized
-    itself: volume() keeps each stratum's value.  One zero reads the
-    integer exp(-k B) series at y^(k+1), two zeros are one integer
-    convolution of two such series (_two_zero_sum), a principal stratum
-    (every entry 2) is the one bracket b(2, ..., 2), and the rest run the
-    hypertree loop, whose brackets are memoized in bracket (module
-    docstring); pi is attached once.
+    m is a nonempty multiset of positive ints in any order, checked by
+    combinatorics.canonical: a float, bool or str part raises ValueError
+    rather than being truncated.  Not memoized itself: volume() keeps each
+    stratum's value.  One zero reads the integer exp(-k B) series at
+    y^(k+1), two zeros are one integer convolution of two such series
+    (_two_zero_sum), a principal stratum (every entry 2) is the one
+    bracket b(2, ..., 2), and the rest run the hypertree loop, whose
+    brackets are memoized in bracket (module docstring); pi is attached
+    once.
     """
-    key = tuple(sorted((int(v) for v in m), reverse=True))
-    if not key:
-        raise ValueError("c_value of an empty multiset")
-    if key[-1] <= 0:
-        raise ValueError(f"entries must be positive: {key}")
+    key = canonical(m)
     denom = math.factorial(sum(key)) * math.prod(key)
     if len(key) == 2:
         total = _two_zero_sum(*key)
@@ -482,13 +481,11 @@ def principal_volume(g: int) -> PiValue:
     n = 2 * g - 2
     total = Fraction(0)
     for lam in partitions_of_size((n + 2) // 2):
-        mu = Partition(tuple(2 * p for p in lam))
-        ell = len(mu)
-        denom = math.factorial(2 * n - ell + 2)
-        for mult in mu.multiplicities().values():
-            denom *= math.factorial(mult)
+        ell = len(lam)  # mu = 2 lam has lam's length and multiplicities
+        denom = math.factorial(2 * n - ell + 2) * math.prod(
+            map(math.factorial, Counter(lam).values()))
         term = Fraction((-1) ** (ell - 1), denom)
-        for p in mu:  # (2p - 3)!! / p! = C(2p - 2, p - 1) / (p 2^(p-1))
+        for p in (2 * h for h in lam):  # (2p - 3)!! / p! = C(2p - 2, p - 1) / (p 2^(p-1))
             term *= frak_slope(p) * Fraction(math.comb(2 * p - 2, p - 1), p * 2 ** (p - 1))
         total += term
     return PiValue(total * (2 * math.factorial(n)), 2 * g)

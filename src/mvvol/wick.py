@@ -11,7 +11,9 @@ slots; these interval blocks form the grouping rho.  Then
 
 where slot L_{j-1} + i carries the part lam_j[i].  Each surviving summand
 is homogeneous of pi-exponent S + L - 2n + 2 with S the total size of the
-arguments, so the result is again a monomial (or zero).
+arguments, so the result is again a monomial (or zero).  Each argument is
+a nonempty multiset of positive ints in any order, which
+combinatorics.canonical checks and sorts.
 
 The complements are not enumerated.  A complement's block-incidence graph
 (alpha-blocks and rho-blocks joined by the slots) is a tree, so rooting it
@@ -48,7 +50,7 @@ from math import comb
 from typing import Iterable
 
 from .bracket import coefficient
-from .combinatorics import Partition
+from .combinatorics import canonical
 from .exact_arith import PiValue
 
 __all__ = ["multi_bracket", "clear_cache"]
@@ -100,11 +102,9 @@ def _solve(key: tuple[tuple[int, ...], ...]) -> Fraction:
 
 def multi_bracket(args: Iterable[Iterable[int]]) -> PiValue:
     """Exact correlator of several partitions; symmetric and memoized."""
-    key = tuple(sorted(Partition(a) for a in args))
+    key = tuple(sorted(canonical(a) for a in args))
     if not key:
         raise ValueError("multi_bracket needs at least one argument")
-    if not all(key):
-        raise ValueError("empty partition argument")
     q = _solve(key)
     exponent = sum(map(sum, key)) + sum(map(len, key)) - 2 * len(key) + 2
     return PiValue(q, exponent)

@@ -345,6 +345,14 @@ def test_input_validation():
         error_term((-1, 3))
 
 
+def test_non_integer_parts_refused():
+    # a part is never truncated: 2.5 is not 2, "3" is not 3
+    with pytest.raises(ValueError):
+        single_bracket([2.5, 2])
+    with pytest.raises(ValueError):
+        error_term(["3", 1])
+
+
 def test_error_bound_for_parts_at_least_two():
     for s in range(2, 11):
         for lam in partitions_of_size(s):

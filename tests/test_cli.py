@@ -437,6 +437,33 @@ def test_failed_save_keeps_old_cache(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["c.json", "c.json.lock"]
 
 
+def test_unwritable_cache_path_exits_2(tmp_path, capsys):
+    # the value is printed, then the save fails on the missing directory
+    path = tmp_path / "missing" / "c.json"
+    clear_caches()
+    code, out, err = run(["volume", "1,1", "--cache", str(path)], capsys)
+    assert (code, out) == (2, "1/135 * pi^4\n")
+    assert f"cannot write cache {path}" in err
+    code, _, err = run(["table", "--max-size", "4", "--cache", str(path)], capsys)
+    assert code == 2
+    assert str(path) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_replace_raises_cache_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    clear_caches()
+    run(["volume", "1,1"], capsys)
+
+    def refuse(*args):
+        raise PermissionError("read-only")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(cli.CacheError, match="cannot write cache"):
+        cli.save_cache(str(path))
+    assert sorted(os.listdir(tmp_path)) == ["c.json.lock"]
+
+
 def test_save_merges_disjoint_memos(tmp_path, capsys):
     # two runs with disjoint new entries, saving to one path: both stay
     path = tmp_path / "c.json"

@@ -1,10 +1,11 @@
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from mvvol.combinatorics import Partition, partitions_of_size
+from mvvol.combinatorics import canonical, partitions_of_size
 from mvvol.f_expansion import partitions_of_weight
 from oracles import (
     SetPartition,
@@ -52,23 +53,18 @@ def brute_set_partitions(n):
 # -- partitions ----------------------------------------------------------------
 
 
-def test_partition_validation():
-    assert Partition((3, 1, 1)) == (3, 1, 1)
-    assert Partition(()) == ()
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+def test_canonical_sorts_a_multiset():
+    assert canonical((3, 1, 1)) == (3, 1, 1)
+    assert canonical([1, 3, 1]) == (3, 1, 1)
+    assert canonical(iter((2, 5))) == (5, 2)
+    assert type(canonical([1, 2])) is tuple
 
 
-def test_partition_derived_quantities():
-    lam = Partition((4, 2, 2, 1))
-    assert lam.size == 9
-    assert lam.length == 4
-    assert lam.weight == 13
-    assert lam.multiplicity(2) == 2
-    assert lam.multiplicity(5) == 0
-    assert lam.multiplicities() == {4: 1, 2: 2, 1: 1}
+@pytest.mark.parametrize("m", [(), (2, 0), (3, -1), (2.0, 1), (3.9, 1), (True,), (True, 2),
+                               ("3", 1), (None,)])
+def test_canonical_refusals(m):
+    with pytest.raises(ValueError):
+        canonical(m)
 
 
 def test_partitions_of_size_matches_brute_force():
@@ -76,6 +72,14 @@ def test_partitions_of_size_matches_brute_force():
         got = partitions_of_size(n)
         assert len(set(got)) == len(got)
         assert set(map(tuple, got)) == brute_partitions(n)
+
+
+def test_partitions_of_size_order():
+    # the table's row order and partitions_of_weight read this order
+    for n in range(0, 13):
+        got = partitions_of_size(n)
+        assert got == sorted(brute_partitions(n), reverse=True), n
+        assert all(type(p) is tuple for p in got)
 
 
 def test_partitions_of_size_counts():
@@ -105,7 +109,7 @@ def test_partitions_of_weight_matches_definition():
             want.extend(p for p in partitions_of_size(w - ell) if len(p) == ell)
         got = partitions_of_weight(w)
         assert got == want, w
-        assert all(type(p) is Partition for p in got)
+        assert all(type(p) is tuple for p in got)
     with pytest.raises(ValueError):
         partitions_of_weight(1)
 
@@ -131,7 +135,7 @@ def test_weighted_composition_identity():
                 if len(lam) != k:
                     continue
                 denom = 1
-                for mult in lam.multiplicities().values():
+                for mult in Counter(lam).values():
                     denom *= math.factorial(mult)
                 acc += math.factorial(k) // denom
             assert acc == math.comb(n - 1, k - 1)

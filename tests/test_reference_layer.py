@@ -94,7 +94,7 @@ def test_warm_cache_run_leaves_reference_layer_unloaded(tmp_path):
 def test_public_names_are_pinned():
     # a name leaves or joins mvvol.__all__ only on purpose
     assert mvvol.__all__ == [
-        "PiValue", "bernoulli", "zeta_even", "frak_z", "Partition", "partitions_of_size",
+        "PiValue", "bernoulli", "zeta_even", "frak_z", "partitions_of_size",
         "single_bracket", "error_term", "Stratum", "VolumeResult", "c_value", "volume",
         "principal_volume", "prediction", "clear_caches", "InvalidStratumError",
         "InfeasibleSizeError", "SVResult", "sc_constant", "sc2_principal", "loop_per_angle",

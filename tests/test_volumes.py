@@ -529,6 +529,18 @@ def test_c_value_errors():
         c_value((2, 0))
 
 
+def test_c_value_refuses_non_integer_parts():
+    # (3.9, 1) is not (3, 1), and a bool is not a part
+    with pytest.raises(ValueError):
+        c_value([3.9, 1])
+    with pytest.raises(ValueError):
+        c_value([True, True])
+
+
+def test_c_value_of_unsorted_input():
+    assert c_value([1, 3]) == c_value([3, 1])
+
+
 # -- volume ---------------------------------------------------------------------
 
 

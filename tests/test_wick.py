@@ -8,7 +8,7 @@ import pytest
 
 import mvvol.wick as wick
 from mvvol.bracket import coefficient, single_bracket
-from mvvol.combinatorics import Partition, partitions_of_size
+from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
 from mvvol.wick import multi_bracket
 from oracles import SetPartition, complementary_partitions
@@ -26,7 +26,7 @@ class LabeledSlotMap:
 
     __slots__ = ("args", "slot_values", "rho")
 
-    def __init__(self, args: Sequence[Partition]):
+    def __init__(self, args: Sequence[tuple[int, ...]]):
         self.args = tuple(args)
         values: list[int] = []
         blocks: list[tuple[int, ...]] = []
@@ -47,7 +47,7 @@ class LabeledSlotMap:
 
 def test_slot_layout_worked_example():
     # three arguments of lengths 3, 1, 2 occupy slots 1..6 left to right
-    sm = LabeledSlotMap([Partition((5, 3, 2)), Partition((4,)), Partition((7, 6))])
+    sm = LabeledSlotMap([(5, 3, 2), (4,), (7, 6)])
     assert sm.slot_values == (5, 3, 2, 4, 7, 6)
     assert sm.rho == SetPartition([(1, 2, 3), (4,), (5, 6)])
     alpha = SetPartition([(1, 4), (2, 6), (3,), (5,)])
@@ -57,7 +57,7 @@ def test_slot_layout_worked_example():
 
 def test_slot_layout_rejects_empty_argument():
     with pytest.raises(ValueError):
-        LabeledSlotMap([Partition(())])
+        LabeledSlotMap([()])
     with pytest.raises(ValueError):
         multi_bracket([(2, 1), ()])
 
@@ -130,12 +130,22 @@ def test_empty_argument_list_rejected():
         multi_bracket([])
 
 
+def test_argument_parts_checked_and_sorted():
+    # each argument goes through combinatorics.canonical: a zero or a
+    # non-integer part is refused, and parts may come in any order
+    with pytest.raises(ValueError):
+        multi_bracket([(2, 0)])
+    with pytest.raises(ValueError):
+        multi_bracket([(2.5,)])
+    assert multi_bracket([(1, 2)]) == multi_bracket([(2, 1)])
+
+
 # -- differential sweeps: the rational fast path against PiValue oracles --------
 
 
 def oracle_multi_bracket(args):
     # the defining sum, every product and sum in PiValue arithmetic
-    slot_map = LabeledSlotMap(tuple(sorted(Partition(a) for a in args)))
+    slot_map = LabeledSlotMap(tuple(sorted(tuple(a) for a in args)))
     total = PiValue.zero()
     for alpha in complementary_partitions(slot_map.rho):
         term = PiValue(1)
@@ -177,7 +187,7 @@ def test_multi_bracket_zero_for_odd_grading_after_clear():
 
 def oracle_coefficient(args):
     # the defining complement sum in Fractions
-    slot_map = LabeledSlotMap(tuple(sorted(Partition(a) for a in args)))
+    slot_map = LabeledSlotMap(tuple(sorted(tuple(a) for a in args)))
     total = Fraction(0)
     for alpha in complementary_partitions(slot_map.rho):
         prod = Fraction(1)
