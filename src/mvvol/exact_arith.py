@@ -33,7 +33,7 @@ frak_z and zeta_even are unmemoized PiValue wrappers over frak_slope.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -177,15 +177,20 @@ class PiValue:
         return f"PiValue({self})"
 
     def to_decimal(self, digits: int = 50) -> Decimal:
-        """Evaluate to a Decimal with `digits` significant digits (<= 100)."""
+        """Evaluate to a Decimal with `digits` significant digits (<= 100);
+        ValueError when the value or pi^e leaves Decimal's exponent range."""
         if not 1 <= digits <= 100:
             raise ValueError("digits must be between 1 and 100")
         with localcontext() as ctx:
             ctx.prec = digits + 15
-            q = Decimal(self.q.numerator) / Decimal(self.q.denominator)
-            total = q * _PI ** self.e
-            ctx.prec = digits
-            return +total
+            ctx.traps[Underflow] = True
+            try:
+                q = Decimal(self.q.numerator) / Decimal(self.q.denominator)
+                total = q * _PI ** self.e
+                ctx.prec = digits
+                return +total
+            except (Overflow, Underflow):
+                raise ValueError(f"a value at pi^{self.e} is out of decimal range") from None
 
     def to_float(self) -> float:
         """The value as a float, through a 17-digit Decimal: math.pi**e

@@ -102,7 +102,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, localcontext
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, product
@@ -221,9 +221,9 @@ class VolumeResult:
         return self.value.e if self.value else None
 
 
-_VOLUME_CACHE: dict[tuple[int, ...], PiValue] = {}
-# stripped stratum -> builder of its volume, from preload until first read
-_LOADED: dict[tuple[int, ...], Callable[[], PiValue]] = {}
+# stripped stratum -> its volume, or the builder preload handed over, which
+# the stratum's first read replaces with the value it builds
+_VOLUME_CACHE: dict[tuple[int, ...], Union[PiValue, Callable[[], PiValue]]] = {}
 
 
 def _exp_ints(k: int, top: int) -> list[int]:
@@ -418,35 +418,34 @@ def prediction(s: StratumLike) -> Fraction:
     return Fraction(4, denom)
 
 
-def _relative_error(value: PiValue, predicted: Fraction, digits: int = 15) -> Decimal:
+def _relative_error(value: PiValue, predicted: Fraction) -> Decimal:
+    """value / predicted - 1 to 15 significant digits; ValueError out of decimal range."""
     with localcontext() as ctx:
-        ctx.prec = digits + 15
-        exact = value.to_decimal(digits + 10)
+        ctx.prec = 30
+        exact = value.to_decimal(25)
         pred = Decimal(predicted.numerator) / Decimal(predicted.denominator)
-        eps = exact / pred - 1
-        ctx.prec = digits
+        try:
+            eps = exact / pred - 1
+        except Overflow:
+            raise ValueError("a relative error is out of decimal range") from None
+        ctx.prec = 15
         return +eps
 
 
 def _volume_value(st: Stratum, max_weight: int) -> PiValue:
     """The memoized volume of st, the value volume() reports.
 
-    A stratum the memo lacks is built from its loaded builder (preload), if
-    it has one, and computed otherwise, subject to max_weight.
+    A builder the memo holds (preload) is replaced by the value it builds;
+    a stratum the memo lacks is computed, subject to max_weight.
     """
     key = st.stripped
     value = _VOLUME_CACHE.get(key)
-    if value is not None:
+    if isinstance(value, PiValue):
         return value
-    build = _LOADED.get(key)
-    if build is not None:
-        # published before the builder is dropped, so a thread that finds
-        # no builder finds the value on its second read below
-        value = _VOLUME_CACHE.setdefault(key, build())
-        _LOADED.pop(key, None)
-        return value
-    value = _VOLUME_CACHE.get(key)
     if value is not None:
+        # no reader finds the key missing, so none computes; threads that
+        # meet on one builder build equal values, and either assignment serves
+        value = _VOLUME_CACHE[key] = value()
         return value
     if key:
         weight = sum(d + 1 for d in key)
@@ -498,30 +497,25 @@ def clear_caches() -> None:
     (wick, f_expansion) and the sums in tests/oracles.py keep tables of
     their own, which oracles.clear() empties."""
     _VOLUME_CACHE.clear()
-    _LOADED.clear()
     bracket.clear_cache()
     exact_arith.clear_cache()
 
 
 def volume_cache() -> dict[tuple[int, ...], PiValue]:
-    """Live handle on the stratum -> volume memo: the volumes computed or
-    read so far, without the preloaded ones not yet read."""
-    return _VOLUME_CACHE
+    """A copy of the volumes computed or read so far, without the preloaded
+    ones not yet read."""
+    return {key: v for key, v in _VOLUME_CACHE.copy().items() if isinstance(v, PiValue)}
 
 
 def preload(builders: dict[tuple[int, ...], Callable[[], PiValue]]) -> None:
     """Serve the volume of each stripped stratum in builders from its
-    builder, called on the stratum's first read and then dropped.  A value
-    the memo already holds for such a stratum is dropped, so the builder's
-    wins (used by the CLI cache)."""
-    _LOADED.update(builders)
-    for key in builders:
-        _VOLUME_CACHE.pop(key, None)
+    builder, which the stratum's first read replaces with the value it
+    builds.  A builder replaces a value the memo held for its stratum, so
+    the builder's wins (used by the CLI cache)."""
+    _VOLUME_CACHE.update(builders)
 
 
 def held_volumes() -> dict[tuple[int, ...], PiValue]:
-    """Every volume the memo holds or has a builder for, the unread builders
-    called but not published (used by the CLI cache)."""
-    held = {key: build() for key, build in _LOADED.copy().items()}
-    held.update(_VOLUME_CACHE)
-    return held
+    """Every volume the memo holds, the unread builders called but not
+    published (used by the CLI cache)."""
+    return {key: v if isinstance(v, PiValue) else v() for key, v in _VOLUME_CACHE.copy().items()}

@@ -561,6 +561,11 @@ def test_warm_volume_builds_only_the_value_it_reads(tmp_path, capsys, monkeypatc
     assert (code, out) == (0, "1/135 * pi^4\n")
     assert built == [("1", "135", 4)]
     assert set(volume_cache()) == {(1, 1)}
+    volume(Stratum([1, 1]))  # the memo holds the value: nothing is built again
+    assert built == [("1", "135", 4)]
+    assert len(volumes.held_volumes()) == 40  # calls the 39 unread builders
+    assert len(built) == 40
+    assert set(volume_cache()) == {(1, 1)}  # without publishing their values
     clear_caches()  # the unread builders go with the memo
     assert volumes.held_volumes() == {}
 
@@ -682,6 +687,25 @@ def test_cache_bad_exponent_rejected(tmp_path, capsys):
     code, _, err = run(["volume", "2", "--cache", str(path)], capsys)
     assert code == 2
     assert "pi-exponent" in err
+
+
+@pytest.mark.parametrize("key, num, fmt", [
+    ("4000000", "1", "decimal"),
+    ("4000000", "1", "json"),
+    # the value is in range, its quotient by the prediction 4/2000001 is not
+    ("2000000", "1" + "0" * 5698, "json"),
+], ids=["decimal", "json", "json-quotient"])
+def test_value_out_of_decimal_range_exits_2(key, num, fmt, tmp_path, capsys):
+    # a hand-made entry with a recomputed checksum; exact output still prints
+    path = tmp_path / "c.json"
+    pi_exp = int(key) + 2
+    write_cache(path, {key: cache_entry(key, num, "3", pi_exp)})
+    clear_caches()
+    code, out, err = run(["volume", key, "--cache", str(path), "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    assert "out of decimal range" in err
+    code, out, _ = run(["volume", key, "--cache", str(path)], capsys)
+    assert (code, out) == (0, f"{num}/3 * pi^{pi_exp}\n")
 
 
 def test_cache_rejected_late_leaves_memo_unchanged(tmp_path):

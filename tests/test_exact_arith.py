@@ -388,6 +388,12 @@ def test_pivalue_decimal_rendering():
     assert PiValue.zero().to_decimal(10) == Decimal(0)
     with pytest.raises(ValueError):
         v.to_decimal(101)
+    # pi^e leaves Decimal's default exponent range near |e| = 2 * 10^6: a
+    # ValueError, not decimal.Overflow or a silent 0E-1000018
+    for e in (4_000_002, -4_000_000):
+        with pytest.raises(ValueError, match="out of decimal range"):
+            PiValue(Fraction(1, 3), e).to_decimal(50)
+    assert str(PiValue(Fraction(1, 3), 2_000_000).to_decimal(5)) == "1.8547E+994299"
 
 
 def test_pivalue_to_float():
