@@ -63,10 +63,12 @@ sub-multiset a stands for, and are kept keyed on it.  A bracket fills only
 the vectors below M that no earlier bracket filled, plus M itself, which
 it does not keep.  Each entry is built locally and published by one
 assignment, so concurrent callers may fill a vector twice but always read
-equal series.  coefficient() is the rational entry used by the Wick and
-volume layers, memoized on the sorted multiset and checked on a memo
-miss.  single_bracket and error_term take m in any order; all three check
-with combinatorics.canonical, which refuses a float, bool or str part.
+equal series.  The Wick and volume layers read _coefficient(), the
+rational entry memoized on the sorted multiset, unchecked on the keys they
+build.  Its public name coefficient() checks its key with
+combinatorics.canonical on every call, as single_bracket and error_term,
+which take m in any order, check theirs; canonical refuses a float, bool
+or str part.
 """
 
 from __future__ import annotations
@@ -171,22 +173,27 @@ def error_term(m: Iterable[int]) -> PiValue:
     mm = canonical(m)
     exponent = sum(mm) - len(mm) + 2
     lead = math.factorial(sum(mm)) * frak_slope(exponent) / math.factorial(exponent)
-    return PiValue(coefficient(mm) - lead, exponent)
+    return PiValue(_coefficient(mm) - lead, exponent)
 
 
 def coefficient(mm: tuple[int, ...]) -> Fraction:
-    """Rational coefficient of single_bracket(mm) at pi^(|mm| - len(mm) + 2).
+    """Rational coefficient of single_bracket(mm) at pi^(|mm| - len(mm) + 2)
+    for a canonical mm, a nonempty tuple of positive ints sorted in
+    decreasing order: checked on every call (ValueError otherwise)."""
+    if mm != canonical(mm):
+        raise ValueError(f"coefficient needs a canonical multiset: {mm!r}")
+    return _coefficient(mm)
 
-    mm must already be canonical: a nonempty tuple of positive ints sorted
-    in decreasing order, checked on a memo miss (ValueError otherwise).
-    Memoized; at an odd exponent the coefficient is 0 by the grading, one
-    and two parts read the closed forms in the slopes, and more than two
-    sum the tree series once (module docstring).
+
+def _coefficient(mm: tuple[int, ...]) -> Fraction:
+    """coefficient(mm) for a canonical mm, unchecked: the memo read of the
+    package's own callers, which build canonical keys.  At an odd exponent
+    the coefficient is 0 by the grading, one and two parts read the closed
+    forms in the slopes, and more than two sum the tree series once
+    (module docstring).
     """
     q = _CACHE.get(mm)
     if q is None:
-        if mm != canonical(mm):
-            raise ValueError(f"coefficient needs a canonical multiset: {mm!r}")
         if (sum(mm) - len(mm)) % 2:
             q = Fraction(0)
         elif len(mm) == 1:
@@ -202,7 +209,7 @@ def coefficient(mm: tuple[int, ...]) -> Fraction:
 def single_bracket(m: Iterable[int]) -> PiValue:
     """Exact correlator of the multiset m, built from the coefficient memo."""
     mm = canonical(m)
-    return PiValue(coefficient(mm), sum(mm) - len(mm) + 2)
+    return PiValue(_coefficient(mm), sum(mm) - len(mm) + 2)
 
 
 def clear_cache() -> None:

@@ -12,15 +12,14 @@ Verbs:
   selftest           run the built-in oracle suite
 
 Every verb but selftest takes --format exact|decimal|json, --digits,
---max-weight and --cache.  selftest takes no options and opens no cache,
-whatever MV_CACHE says.  STRATUM is comma-separated zero degrees,
-optionally wrapped as H(...), e.g. "2,1,1" or "H(3,1)".  STRATUM, --zeros
-and the integer options are ASCII digits, with blanks allowed around commas.
+--max-weight and --cache.  selftest takes no options and opens no cache.
+STRATUM is comma-separated zero degrees, optionally wrapped as H(...),
+e.g. "2,1,1" or "H(3,1)".  STRATUM, --zeros and the integer options are
+ASCII digits, with blanks allowed around commas.
 Exit codes: 0 success, 1 principal --verify mismatch, 2 invalid input,
 3 infeasible size (raise --max-weight to force), 4 selftest failure.
 
-A JSON volume cache can be kept across runs with --cache PATH; the
-MV_CACHE environment variable overrides the flag.  The file is format 2:
+A JSON volume cache can be kept across runs with --cache PATH, in format 2:
 {"version": 2, "entries": {key: {"num", "den", "pi_exp", "crc32"}}}, with
 the canonical stratum key, num and den as digit strings, and crc32 the
 binascii.crc32 of "key|num|den|pi_exp".  On load every key, field, checksum
@@ -60,7 +59,6 @@ from .volumes import (
     InvalidStratumError,
     Stratum,
     _relative_error,
-    _volume_value,
     principal_volume,
     volume,
 )
@@ -255,11 +253,11 @@ def _volume_record(res) -> dict:
 
 
 def _cmd_volume(args) -> int:
-    st = parse_stratum(args.stratum)
+    res = volume(parse_stratum(args.stratum), max_weight=args.max_weight)
     if args.format == "json":
-        print(json.dumps(_volume_record(volume(st, max_weight=args.max_weight)), sort_keys=True))
+        print(json.dumps(_volume_record(res), sort_keys=True))
     else:
-        print(_shown(_volume_value(st, args.max_weight), args))
+        print(_shown(res.value, args))
     return 0
 
 
@@ -274,7 +272,7 @@ def _cmd_principal(args) -> int:
     val = principal_volume(args.genus)
     matches: Optional[bool] = None
     if args.verify:
-        general = _volume_value(Stratum([1] * (2 * args.genus - 2)), args.max_weight)
+        general = volume(Stratum([1] * (2 * args.genus - 2)), max_weight=args.max_weight).value
         matches = general == val
     if args.format == "json":
         record = {"genus": args.genus, **_exact_fields(val)}
@@ -455,8 +453,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # selftest clears the memo and checks its own strata: no cache is opened
-    cache_path = None if args.verb == "selftest" else os.environ.get("MV_CACHE") or args.cache
+    # selftest has no --cache: it clears the memo and checks its own strata
+    cache_path = getattr(args, "cache", None)
     try:
         loaded = load_cache(cache_path) if cache_path else set()
         code = args.func(args)

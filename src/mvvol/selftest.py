@@ -170,7 +170,7 @@ def _check_cross_consistency() -> tuple[bool, str]:
             if a[-1] >= 2 and (s - len(a)) % 2 == 0]
     ok = all(c_value(a) == c_value(a + (1,)) for a in keys)
     pairs = [(u, s - u) for s in range(2, 25) for u in range((s + 1) // 2, s)]
-    ok = ok and all(bracket.coefficient(p) == bracket._tree_sum(p) for p in pairs)
+    ok = ok and all(bracket._coefficient(p) == bracket._tree_sum(p) for p in pairs)
     return ok, (
         f"c_value(a) = c_value(a + (1,)) on {len(keys)} keys with parts >= 2, |a| <= 14; "
         f"two-part brackets = tree series, u + v <= 24"

@@ -53,7 +53,7 @@ from .volumes import (
     Stratum,
     StratumLike,
     _as_stratum,
-    _volume_value,
+    volume,
 )
 
 __all__ = [
@@ -118,8 +118,8 @@ def _maybe_disconnected(st: Stratum) -> bool:
 
 
 def _degree(st: Stratum, i: int) -> int:
-    if not 1 <= i <= len(st.degrees):
-        raise ValueError(f"zero index {i} out of range for {st}")
+    if type(i) is not int or not 1 <= i <= len(st.degrees):
+        raise ValueError(f"zero index {i!r} out of range for {st}")
     return st.degrees[i - 1]
 
 
@@ -132,8 +132,8 @@ def _config(kind: str, st: Stratum, zeros: tuple[int, ...], added: Sequence[int]
     """factor * vol(derived) / vol(st), the derived stratum dropping the
     zeros at the indices `zeros` and gaining the degrees `added`."""
     rest = [d for k, d in enumerate(st.degrees, 1) if k not in zeros]
-    top = _volume_value(Stratum(rest + list(added)), max_weight)
-    bot = _volume_value(st, max_weight)
+    top = volume(Stratum(rest + list(added)), max_weight).value
+    bot = volume(st, max_weight).value
     return _result(kind, st, top / bot * factor, predictor, zeros, angle)
 
 
@@ -155,20 +155,20 @@ def sc2_principal(g: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> SVResult:
     Genus-1 factors use the torus volume pi^2/3.  Decays like 1/g, so the
     large-genus predictor is 0.
     """
-    if g < 2:
-        raise ValueError("sc2_principal needs genus g >= 2")
+    if type(g) is not int or g < 2:
+        raise ValueError(f"sc2_principal needs an int genus g >= 2: {g!r}")
     st = Stratum([1] * (2 * g - 2))
     fact = math.factorial
     total = PiValue.zero()
-    whole = _volume_value(st, max_weight)
+    whole = volume(st, max_weight).value
     for g1 in range(1, g):
         g2 = g - g1
         a = Fraction(
             fact(2 * g - 4) * fact(4 * g1 - 3) * fact(4 * g2 - 3),
             fact(2 * g1 - 2) * fact(2 * g2 - 2) * fact(4 * g - 5),
         )
-        v1 = _volume_value(Stratum([1] * (2 * g1 - 2)), max_weight)
-        v2 = _volume_value(Stratum([1] * (2 * g2 - 2)), max_weight)
+        v1 = volume(Stratum([1] * (2 * g1 - 2)), max_weight).value
+        v2 = volume(Stratum([1] * (2 * g2 - 2)), max_weight).value
         total += (v1 * v2 / whole) * a
     return _result("sc2", st, total / 4, 0)
 
@@ -188,8 +188,8 @@ def loop_per_angle(
     """
     st = _as_stratum(s)
     mi = _degree(st, i)
-    if not 1 <= j < mi:
-        raise ValueError(f"angle index {j} out of range for a degree-{mi} zero")
+    if type(j) is not int or not 1 <= j < mi:
+        raise ValueError(f"angle index {j!r} out of range for a degree-{mi} zero")
     b1, b2 = j - 1, mi - j - 1
     sym = 2 if b1 == b2 else 1
     return _config(

@@ -14,7 +14,7 @@ tests' reference; this module does not import them.  The complements the
 Wick sum runs over are enumerated only in tests/oracles.py, next to the
 Fraction forms of the bracket series and of the hypertree loop below.
 
-Write b(.) = bracket.coefficient.  The block-incidence graph of every Wick
+Write b(.) = bracket._coefficient.  The block-incidence graph of every Wick
 complement is a tree (wick docstring): blocks of one part give factors
 b(v), and the blocks joining parts of several zeros form a hypertree on
 the zeros.  Support weights (-k)^(len - 1) / prod M_i! are exponential, so
@@ -354,7 +354,7 @@ def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
         for j in [*range(2 + odd, k0, 2), *([k0 + 1] if i == top else [])]:
             e, q_t = 0, odd_quotients(w + j)
             for q, wq, p in power:
-                if b := bracket.coefficient(tuple(sorted((j - 1, *q), reverse=True))):
+                if b := bracket._coefficient(tuple(sorted((j - 1, *q), reverse=True))):
                     bt = exact_quotient(scales[j + wq] * b.numerator, b.denominator,
                                         "a scaled bracket is not an integer")
                     e += math.comb(w + j, w - wq) * q_t[w - wq] * bt * p
@@ -402,7 +402,7 @@ def c_value(m: Iterable[int]) -> PiValue:
     if len(key) == 2:
         total = _two_zero_sum(*key)
     elif key[0] == key[-1] == 2:
-        total = bracket.coefficient(key)
+        total = bracket._coefficient(key)
     else:
         total = _hypertree_sum(key)
     # the sum is a monomial in pi^(|a| - n + 2), by grading
@@ -432,51 +432,42 @@ def _relative_error(value: PiValue, predicted: Fraction) -> Decimal:
         return +eps
 
 
-def _volume_value(st: Stratum, max_weight: int) -> PiValue:
-    """The memoized volume of st, the value volume() reports.
+def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult:
+    """Exact normalized volume of the stratum with the given zero degrees,
+    memoized per stripped stratum.
 
     A builder the memo holds (preload) is replaced by the value it builds;
-    a stratum the memo lacks is computed, subject to max_weight.
-    """
-    key = st.stripped
-    value = _VOLUME_CACHE.get(key)
-    if isinstance(value, PiValue):
-        return value
-    if value is not None:
-        # no reader finds the key missing, so none computes; threads that
-        # meet on one builder build equal values, and either assignment serves
-        value = _VOLUME_CACHE[key] = value()
-        return value
-    if key:
-        weight = sum(d + 1 for d in key)
-        if weight > max_weight:
-            raise InfeasibleSizeError(weight, max_weight)
-        value = 2 * c_value([d + 1 for d in key])
-    else:
-        value = 2 * c_value((1,))  # torus convention: H() and H(0,...)
-    q, e = value.monomial()
-    if q <= 0 or e != 2 * st.genus:
-        raise AssertionError(f"volume of {st} violates the pi^(2g) form: {value}")
-    _VOLUME_CACHE[key] = value
-    return value
-
-
-def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult:
-    """Exact normalized volume of the stratum with the given zero degrees.
-
-    Raises InvalidStratumError for bad degrees and InfeasibleSizeError when
-    sum (m_i + 1) over positive degrees exceeds max_weight.
+    a stratum the memo lacks is computed.  Raises InvalidStratumError for
+    bad degrees and InfeasibleSizeError when sum (m_i + 1) over positive
+    degrees exceeds max_weight.
     """
     st = _as_stratum(s)
     start = time.perf_counter()
-    value = _volume_value(st, max_weight)
+    key = st.stripped
+    value = _VOLUME_CACHE.get(key)
+    if value is None:
+        if key:
+            weight = sum(d + 1 for d in key)
+            if weight > max_weight:
+                raise InfeasibleSizeError(weight, max_weight)
+            value = 2 * c_value([d + 1 for d in key])
+        else:
+            value = 2 * c_value((1,))  # torus convention: H() and H(0,...)
+        q, e = value.monomial()
+        if q <= 0 or e != 2 * st.genus:
+            raise AssertionError(f"volume of {st} violates the pi^(2g) form: {value}")
+        _VOLUME_CACHE[key] = value
+    elif not isinstance(value, PiValue):
+        # no reader finds the key missing, so none computes; threads that
+        # meet on one builder build equal values, and either assignment serves
+        value = _VOLUME_CACHE[key] = value()
     return VolumeResult(st, value, time.perf_counter() - start)
 
 
 def principal_volume(g: int) -> PiValue:
     """Volume of the stratum with 2g - 2 simple zeros, by the closed form."""
-    if g < 2:
-        raise ValueError("principal_volume needs genus g >= 2")
+    if type(g) is not int or g < 2:
+        raise ValueError(f"principal_volume needs an int genus g >= 2: {g!r}")
     n = 2 * g - 2
     total = Fraction(0)
     for lam in partitions_of_size((n + 2) // 2):

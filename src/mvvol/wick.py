@@ -49,7 +49,7 @@ from itertools import product
 from math import comb
 from typing import Iterable
 
-from .bracket import coefficient
+from .bracket import _coefficient
 from .combinatorics import canonical
 from .exact_arith import PiValue
 
@@ -66,7 +66,7 @@ def _solve(key: tuple[tuple[int, ...], ...]) -> Fraction:
         return q
     root = max(key, key=len)
     if len(root) == 1:
-        q = _CACHE[key] = coefficient(tuple(sorted((a[0] for a in key), reverse=True)))
+        q = _CACHE[key] = _coefficient(tuple(sorted((a[0] for a in key), reverse=True)))
         return q
 
     rest = list(key)

@@ -230,13 +230,13 @@ def test_integer_series_matches_oracle_on_shared_cases_in_both_orders():
 def test_integer_series_matches_oracle_on_requested_brackets(monkeypatch):
     # every bracket that cold H(2^30), H(3^12) and H(2^8,1^8) request
     requested = {}
-    read = bracket.coefficient
+    read = bracket._coefficient
 
     def record(mm):
         q = requested[mm] = read(mm)
         return q
 
-    monkeypatch.setattr(bracket, "coefficient", record)
+    monkeypatch.setattr(bracket, "_coefficient", record)
     for stratum in ([2] * 30, [3] * 12, [2] * 8 + [1] * 8):
         volumes.clear_caches()
         assert volumes.volume(stratum, max_weight=100).value
@@ -353,14 +353,22 @@ def test_non_integer_parts_refused():
         error_term(["3", 1])
 
 
-def test_coefficient_checks_its_key_on_a_miss():
-    # a key that is not canonical is refused before anything is memoized
+def test_coefficient_checks_its_key_on_every_call():
+    # a key that is not canonical is refused before anything is memoized,
+    # and again once the memo holds an equal canonical key: (True, True)
+    # == (1, 1) and hashes like it, and a list is unhashable
     clear_cache()
-    for mm in ((3, 0), (4, 1, 0), (2.5, 2.5), (1, 3)):
+    keys = ((3, 0), (4, 1, 0), (2.5, 2.5), (1, 3), (True, True), [2, 2])
+    for mm in keys:
         with pytest.raises(ValueError):
             bracket.coefficient(mm)
-        assert mm not in bracket._CACHE
+    assert not bracket._CACHE
     assert bracket.coefficient((3, 1)) == Fraction(7, 15)
+    assert (bracket.coefficient((1, 1)), bracket.coefficient((2, 2))) == (
+        Fraction(1, 3), Fraction(16, 45))
+    for mm in keys:
+        with pytest.raises(ValueError):
+            bracket.coefficient(mm)
 
 
 def test_error_bound_for_parts_at_least_two():

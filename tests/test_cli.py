@@ -212,7 +212,7 @@ def test_principal_bad_genus(capsys):
 def test_principal_refused_above_weight_bound(argv, weight, capsys, monkeypatch):
     # the bound of H(1^(2G-2)), weight 4G - 4, holds before the closed form
     # is summed, with or without --verify
-    for name in ("volume", "_volume_value", "principal_volume"):
+    for name in ("volume", "principal_volume"):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run(argv, capsys)
     assert code == 3
@@ -311,7 +311,7 @@ def refuse(*args, **kwargs):
 @pytest.mark.parametrize("kind", [k for k, spec in siegel_veech.KINDS.items() if spec.zeros])
 def test_sv_missing_zeros(kind, capsys, monkeypatch):
     # one zero index too few and one too many, both refused before any volume
-    monkeypatch.setattr(cli.siegel_veech, "_volume_value", refuse)
+    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
     spec = siegel_veech.KINDS[kind]
     angle = ["--angle", "1"] if spec.angle else []
     for n in (spec.zeros - 1, spec.zeros + 1):
@@ -342,7 +342,7 @@ SV_IGNORED_FLAGS = {
 
 @pytest.mark.parametrize("kind", sorted(SV_IGNORED_FLAGS))
 def test_sv_rejects_flags_its_kind_ignores(kind, capsys, monkeypatch):
-    monkeypatch.setattr(cli.siegel_veech, "_volume_value", refuse)
+    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
     stratum, *flags = SV_IGNORED_FLAGS[kind]
     code, out, err = run(["sv", stratum, "--kind", kind, *flags], capsys)
     assert code == 2
@@ -369,6 +369,37 @@ def test_sv_loop_per_angle_refuses_zero_of_degree_below_two(stratum, zero, angle
     assert err.startswith("error: angle index") and "out of range" in err
 
 
+# -- volume reads -------------------------------------------------------------------
+
+
+# bench/tracer.py spans volumes.volume at these names, so every volume the
+# CLI prints and every ratio the SV layer forms must be read through them
+@pytest.mark.parametrize("argv, module, expected", [
+    (["volume", "3,1"], cli, "16/42525 * pi^6\n"),
+    (["volume", "3,1", "--format", "decimal"], cli,
+     "0.36172197759447080523182859725899396547620177423390\n"),
+    (["principal", "3", "--verify"], cli, "1/4860 * pi^6\nmatches general pipeline: yes\n"),
+    (["sv", "3,1", "--kind", "cyl1"], siegel_veech,
+     "value: 2709/128 * pi^-2\npi exponent: -2\npredictor: 12/5\n"
+     "relative deviation: -0.106513390341494\n"),
+    (["sv", "1,1", "--kind", "sc2"], siegel_veech,
+     "value: 5/8\npi exponent: 0\npredictor: 0\nrelative deviation: n/a\n"),
+], ids=["volume-exact", "volume-decimal", "principal-verify", "sv-cyl1", "sv-sc2"])
+def test_volume_reads_go_through_the_traced_names(argv, module, expected, capsys, monkeypatch):
+    seen_by = {cli: [], siegel_veech: []}
+    for mod, seen in seen_by.items():
+        def counted(s, *args, read=mod.volume, seen=seen, **kwargs):
+            res = read(s, *args, **kwargs)
+            seen.append(res.stratum.stripped)
+            return res
+        monkeypatch.setattr(mod, "volume", counted)
+    clear_caches()
+    assert run(argv, capsys)[:2] == (0, expected)
+    assert seen_by[module]
+    # from a cold memo, no stratum reaches the memo by another way
+    assert set(volume_cache()) == set(seen_by[cli] + seen_by[siegel_veech])
+
+
 # -- parse-time bounds on numeric flags -------------------------------------------
 
 
@@ -385,9 +416,9 @@ def test_sv_loop_per_angle_refuses_zero_of_degree_below_two(stratum, zero, angle
     ["sv", "3,1", "--kind", "loop_per_angle", "--zeros", "1", "--angle", "0"],
 ])
 def test_numeric_flags_checked_before_any_computation(argv, capsys, monkeypatch):
-    for name in ("volume", "_volume_value", "principal_volume"):
+    for name in ("volume", "principal_volume"):
         monkeypatch.setattr(cli, name, refuse)
-    monkeypatch.setattr(cli.siegel_veech, "_volume_value", refuse)
+    monkeypatch.setattr(cli.siegel_veech, "volume", refuse)
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
@@ -858,15 +889,18 @@ def test_key_check_matches_stratum_key_oracle():
     assert accepted == sum(len(partitions_of_size(n)) for n in range(0, 9, 2))
 
 
-def test_env_var_overrides_cache_flag(tmp_path, capsys, monkeypatch):
+def test_cache_flag_alone_names_the_cache(tmp_path, capsys, monkeypatch):
+    # MV_CACHE is not read: its corrupt file neither stops the run nor is
+    # rewritten, and the flag's file is written
     env_path = tmp_path / "env.json"
+    env_path.write_text("{not json")
     flag_path = tmp_path / "flag.json"
     monkeypatch.setenv("MV_CACHE", str(env_path))
     clear_caches()
-    code, _, _ = run(["volume", "2", "--cache", str(flag_path)], capsys)
-    assert code == 0
-    assert env_path.exists()
-    assert not flag_path.exists()
+    code, out, err = run(["volume", "2", "--cache", str(flag_path)], capsys)
+    assert (code, out, err) == (0, "1/120 * pi^4\n", "")
+    assert env_path.read_text() == "{not json"
+    assert set(json.loads(flag_path.read_text())["entries"]) == {"2"}
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -12,7 +12,6 @@ intended):
 
 import contextlib
 import io
-import os
 import tempfile
 from pathlib import Path
 
@@ -90,19 +89,16 @@ def table_cache_bytes(directory):
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
-def test_stdout_matches_fixture(name, monkeypatch):
-    monkeypatch.delenv("MV_CACHE", raising=False)
+def test_stdout_matches_fixture(name):
     want = (FIXTURES / f"cli_{name}.txt").read_text(encoding="utf-8")
     assert transcript(name) == want
 
 
-def test_cache_bytes_match_fixture(tmp_path, monkeypatch):
-    monkeypatch.delenv("MV_CACHE", raising=False)
+def test_cache_bytes_match_fixture(tmp_path):
     assert table_cache_bytes(tmp_path) == (FIXTURES / "cache_table6.json").read_bytes()
 
 
 if __name__ == "__main__":
-    os.environ.pop("MV_CACHE", None)
     FIXTURES.mkdir(exist_ok=True)
     for name in INVOCATIONS:
         (FIXTURES / f"cli_{name}.txt").write_text(transcript(name), encoding="utf-8")

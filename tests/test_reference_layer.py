@@ -33,8 +33,7 @@ def reference_modules_loaded(*lines):
     """The reference modules loaded after running lines of Python, stdout
     discarded, in a fresh interpreter that imports mvvol from this tree."""
     body = "\n".join("    " + line for line in lines)
-    env = {k: v for k, v in os.environ.items() if k != "MV_CACHE"}
-    env["PYTHONPATH"] = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", PROBE.format(body=body, reference=REFERENCE)],
                          env=env, capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])

@@ -14,7 +14,7 @@ from mvvol.siegel_veech import (
     sc2_principal,
     sc_constant,
 )
-from mvvol.volumes import Stratum, volume
+from mvvol.volumes import Stratum, principal_volume, volume
 
 
 def mono(num, den, exp):
@@ -50,6 +50,26 @@ def test_sc_index_errors():
         sc_constant(Stratum([1, 1]), 1, 3)
     with pytest.raises(ValueError):
         sc_constant(Stratum([1, 1]), 0, 2)
+
+
+@pytest.mark.parametrize("func, args", [
+    (sc_constant, ([1, 1], True, 2)),
+    (sc_constant, ([1, 1], 1.0, 2)),
+    (loop_constant, ([3, 1], 1.0)),
+    (cyl_constant, ([3, 1], 1, 2.0)),
+    (handle_constant, ([3, 1], True)),
+    (loop_per_angle, ([3, 1], 1.0, 1)),
+    (loop_per_angle, ([3, 1], 1, 1.5)),
+    (loop_per_angle, ([3, 1], 1, True)),
+    (sc2_principal, (2.0,)),
+    (sc2_principal, (True,)),
+    (principal_volume, (2.5,)),
+    (principal_volume, (3.0,)),
+])
+def test_integer_arguments_refuse_bool_and_float(func, args):
+    # as Stratum refuses a bool or float degree, rather than echo or truncate it
+    with pytest.raises(ValueError):
+        func(*args)
 
 
 def test_sc2_frozen_values():

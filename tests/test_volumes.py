@@ -298,7 +298,7 @@ def test_two_zero_layer_reads_no_bracket(monkeypatch):
     def refuse(mm):
         raise AssertionError(f"bracket read for {mm}")
 
-    monkeypatch.setattr(bracket, "coefficient", refuse)
+    monkeypatch.setattr(bracket, "_coefficient", refuse)
     monkeypatch.setattr(bracket, "_tree_sum", refuse)
     clear_caches()
     for k1, k2 in TWO_ZERO_KEYS:
@@ -428,8 +428,8 @@ def test_hypertree_loop_checks_its_integer_divisions(monkeypatch):
             monkeypatch.undo()
             clear_caches()
     # a bracket whose denominator t! D_t does not clear
-    coefficient = bracket.coefficient
-    monkeypatch.setattr(bracket, "coefficient", lambda mm: coefficient(mm) / 23)
+    coefficient = bracket._coefficient
+    monkeypatch.setattr(bracket, "_coefficient", lambda mm: coefficient(mm) / 23)
     with pytest.raises(ArithmeticError, match="scaled bracket is not an integer"):
         volumes._hypertree_sum((3, 3, 3))
 
