@@ -94,18 +94,20 @@ _PLANTED: dict[tuple[int, ...], list] = {}
 _WEIGHTS: dict[tuple[int, int], list] = {}
 
 
-def _weights(s: int, c: int, scale: int) -> list:
+def _weights(s: int, c: int) -> list:
     """w(d) = psi(d) D_s = -s!/k! c(k) D_s at k = s - c - d + 2, for
-    d = 0 .. s - c + 2, with scale = D_s; k = 0 is live, c(0) = 1.  A
-    one-part block at d = 0 would read k = s + 1 and holds a 0, never read."""
+    d = 0 .. s - c + 2, with D_s and c(k) read from odd_scales; k = 0 is
+    live, c(0) = 1.  A one-part block at d = 0 would read k = s + 1 and
+    holds a 0, never read."""
     w = _WEIGHTS.get((s, c))
     if w is None:
+        _, scale, _, slope = odd_scales(s)
         w = [0] * (s - c + 3)
         for d in range(c == 1, s - c + 3):
-            q = frak_slope(k := s - c - d + 2)
+            q = slope[k := s - c - d + 2]
             if q:
                 w[d] = -q.numerator * math.perm(s, s - k) * exact_quotient(
-                    scale, q.denominator, "D_s c_k is not an integer")
+                    scale[s], q.denominator, "D_s c_k is not an integer")
         _WEIGHTS[(s, c)] = w
     return w
 
@@ -131,7 +133,7 @@ def _tree_sum(mm: tuple[int, ...]) -> Fraction:
         size, s = sum(a), sum(map(mul, a, values))
         parity[i] = odd = (s - size) & 1
         sums[i] = s
-        weights.append(_weights(s, size, odd_d[s]))
+        weights.append(_weights(s, size))
         last = i == top
         if not last:
             key = sum(((v,) * x for v, x in zip(values, a)), ())

@@ -6,18 +6,11 @@ allowed): the grading fixes e for each bracket, c_value, volume and
 Siegel-Veech ratio (after Eskin-Okounkov, a volume is a rational multiple
 of pi^(2g)).  PiValue stores q exactly with its exponent and renders
 either as canonical text of any length or as a fixed-precision decimal
-using an embedded 100-digit value of pi.  A sum of two nonzero values with different
+using an embedded 130-digit value of pi.  A sum of two nonzero values with different
 exponents is refused: the grading never asks for one.
 
-Also provides the Bernoulli numbers (B_1 = -1/2 convention), read off the
-integer tangent numbers T_n by
-
-    B_2n = (-1)^(n-1) * 2n * T_n / (4^n * (4^n - 1)),
-
-with T_1 .. T_N from the in-place integer recurrence of Brent and Harvey
-("Fast computation of Bernoulli, tangent and secant numbers", 2011): O(N^2)
-products of a big and a small int, and no gcd until each B_2n is reduced
-once.  The pipeline reads them through one memoized family, the slopes
+Also provides the Bernoulli numbers (B_1 = -1/2 convention) through the
+slopes
 
     frak_slope(k) = (-1)^(k/2+1) * (2^k - 2) * B_k = k! * z(k)   for even k >= 0,
 
@@ -27,7 +20,16 @@ with z(k) the coefficient of pi^k in the alternating zeta value
 
 extended by frak_z(0) = 1 and frak_z(k) = 0 for k odd or negative.  The
 k = 0 value encodes the zeta(0) = -1/2 convention: (2 - 2^2) * (-1/2) = 1.
-frak_z and zeta_even are unmemoized PiValue wrappers over frak_slope.
+The slopes c_0 .. c_N are the fourth column of the scale table of
+odd_scales, read off the integer tangent numbers T_h by
+
+    c_2h = (4^h - 2) * 2h * T_h / (4^h * (4^h - 1)),   c_0 = 1,
+
+with T_1 .. T_(N/2) from the in-place integer recurrence of Brent and
+Harvey ("Fast computation of Bernoulli, tangent and secant numbers",
+2011): O(N^2) products of a big and a small int, and no gcd until each
+slope is reduced once.  bernoulli, zeta_even and frak_z derive their
+values from the column and keep none of their own.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Union
@@ -51,11 +52,13 @@ __all__ = [
     "clear_cache",
 ]
 
-# pi to 100 decimal digits; decimal rendering is capped at this precision.
+# pi to 130 significant digits: decimal rendering is capped at 100, and the
+# 30 more keep the error of pi^e, about e * 10^-130, below the last digit
 PI_DIGITS = (
     "3."
     "1415926535897932384626433832795028841971693993751"
     "058209749445923078164062862089986280348253421170679"
+    "82148086513282306647093844609"
 )
 _PI = Decimal(PI_DIGITS)  # exact in any context
 
@@ -198,10 +201,6 @@ class PiValue:
         return float(self.to_decimal(17))
 
 
-# T_0 = 0, T_1, ..., T_(len - 1); empty until a Bernoulli number is asked for
-_TANGENTS: tuple[int, ...] = ()
-
-
 def _tangent_numbers(n: int) -> tuple[int, ...]:
     """T_0 = 0 and the tangent numbers T_1 .. T_n (1, 2, 16, 272, ...), by
     the Brent-Harvey recurrence: T_k = (k - 1)! to start, then for each k
@@ -215,20 +214,9 @@ def _tangent_numbers(n: int) -> tuple[int, ...]:
     return tuple(t)
 
 
-def _tangent(n: int) -> int:
-    """T_n for n >= 1.  The table grows by doubling; each larger table is
-    built locally and published by one assignment, so concurrent callers
-    may build it twice but always read equal values."""
-    global _TANGENTS
-    table = _TANGENTS
-    if n >= len(table):
-        table = _TANGENTS = _tangent_numbers(max(n, 2 * len(table)))
-    return table[n]
-
-
-# D_n / D_(n-1), D_n and n! D_n for n = 0 .. len - 1, D_n = prod p^floor(n/(p-1))
-# over the odd primes p; empty until a scale is asked for
-_SCALES: tuple[tuple[int, ...], ...] = ((), (), ())
+# D_n / D_(n-1), D_n, n! D_n and frak_slope(n) for n = 0 .. len - 1, D_n =
+# prod p^floor(n/(p-1)) over the odd primes p; empty until a scale is asked for
+_SCALES: tuple[tuple, ...] = ((), (), (), ())
 # t -> Q_t, the row D_t / (D_j D_(t-j)) for j = 0 .. t; filled on first use
 _QUOTIENTS: dict[int, tuple[int, ...]] = {}
 
@@ -254,18 +242,26 @@ def _odd_prime_steps(top: int) -> list[int]:
     return step
 
 
-def odd_scales(n: int) -> tuple[tuple[int, ...], ...]:
-    """The columns (D_k / D_(k-1), D_k, k! D_k), k = 0 .. m for some m >= n,
-    that scale every integer series of the package; D_k clears the
-    denominator of frak_slope(k) (von Staudt-Clausen).  Grown by doubling
-    and published by one assignment, like the tangent table."""
+def odd_scales(n: int) -> tuple[tuple, ...]:
+    """The columns (D_k / D_(k-1), D_k, k! D_k, frak_slope(k)), k = 0 .. m
+    for some m >= n, that scale every integer series of the package and
+    give its slopes; D_k clears the denominator of frak_slope(k) (von
+    Staudt-Clausen).  The slopes come from one sweep of tangent numbers
+    (module docstring), and are 0 at odd k.  Grown by doubling; each larger
+    table is built locally and published by one assignment, so concurrent
+    callers may build it twice but always read equal columns."""
     global _SCALES
     table = _SCALES
     if n >= len(table[0]):
         step = _odd_prime_steps(max(n, 2 * len(table[0])))
         d = tuple(accumulate(step, mul))
         factorials = accumulate(range(1, len(d)), mul, initial=1)
-        table = _SCALES = (tuple(step), d, tuple(map(mul, factorials, d)))
+        half = (len(d) - 1) // 2
+        t, slopes = _tangent_numbers(half), [Fraction(1)] + [Fraction(0)] * (len(d) - 1)
+        for h in range(1, half + 1):
+            q = 4**h
+            slopes[2 * h] = Fraction((q - 2) * 2 * h * t[h], q * (q - 1))
+        table = _SCALES = (tuple(step), d, tuple(map(mul, factorials, d)), tuple(slopes))
     return table
 
 
@@ -283,32 +279,28 @@ def odd_quotients(t: int) -> tuple[int, ...]:
     return row
 
 
-@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n with the B_1 = -1/2 convention.
+    """Bernoulli number B_n with the B_1 = -1/2 convention, for an int n >= 0.
 
-    B_n vanishes for odd n > 1, and an even n = 2h reads the tangent number
-    T_h: B_2h = (-1)^(h-1) * 2h * T_h / (4^h * (4^h - 1)) (module docstring).
+    B_n vanishes for odd n > 1, and an even n reads the slope column:
+    B_n = (-1)^(n/2+1) * frak_slope(n) / (2^n - 2).
     """
-    if n < 0:
-        raise ValueError("Bernoulli numbers need n >= 0")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"Bernoulli numbers need an int n >= 0: {n!r}")
     if n < 2:
         return Fraction(1) if n == 0 else Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    h = n // 2
-    q = 4**h
-    return Fraction((-1) ** (h - 1) * n * _tangent(h), q * (q - 1))
+    return frak_slope(n) / ((-1) ** (n // 2 + 1) * (2**n - 2))
 
 
-@lru_cache(maxsize=None)
 def frak_slope(k: int) -> Fraction:
     """k! times the rational coefficient of frak_z(k): (-1)^(k/2+1) *
     (2^k - 2) * B_k for even k >= 0, so 1, 1/3, 7/15, 31/21 at k = 0, 2,
-    4, 6, and zero for k odd or negative."""
+    4, 6, and zero for k odd or negative; read from odd_scales."""
+    if type(k) is not int:
+        raise ValueError(f"expected an int argument, got {k!r}")
     if k < 0 or k % 2:
         return Fraction(0)
-    return (-1) ** (k // 2 + 1) * (2**k - 2) * bernoulli(k)
+    return odd_scales(k)[3][k]
 
 
 def zeta_even(k: int) -> PiValue:
@@ -317,8 +309,8 @@ def zeta_even(k: int) -> PiValue:
     zeta(k) = frak_slope(k) / (k! * (2 - 2^(2-k))) * pi^k, so zeta(2) =
     pi^2/6, zeta(4) = pi^4/90, zeta(6) = pi^6/945.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError("zeta_even needs an even argument k >= 2")
+    if type(k) is not int or k < 2 or k % 2 != 0:
+        raise ValueError(f"zeta_even needs an even int k >= 2: {k!r}")
     return PiValue(frak_slope(k) * 2 ** (k - 1) / (math.factorial(k) * (2**k - 2)), k)
 
 
@@ -328,15 +320,12 @@ def frak_z(k: int) -> PiValue:
     Zero for k odd or negative, one for k = 0.  frak_z(2) = pi^2/6 and
     frak_z(4) = 7/360 * pi^4.  Numerically frak_z(k) -> 2 as k grows.
     """
-    if k < 0 or k % 2 != 0:
-        return PiValue.zero()
-    return PiValue(frak_slope(k) / math.factorial(k), k)
+    q = frak_slope(k)  # zero exactly where frak_z is
+    return PiValue(q / math.factorial(k), k) if q else PiValue.zero()
 
 
 def clear_cache() -> None:
-    """Drop the tangent, scale and quotient tables and the Bernoulli and slope memos."""
-    global _TANGENTS, _SCALES
-    _TANGENTS, _SCALES = (), ((), (), ())
+    """Drop the scale and quotient tables."""
+    global _SCALES
+    _SCALES = ((), (), (), ())
     _QUOTIENTS.clear()
-    bernoulli.cache_clear()
-    frak_slope.cache_clear()

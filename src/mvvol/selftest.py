@@ -191,7 +191,7 @@ def _check_identities() -> tuple[bool, str]:
             if acc != math.comb(n - 1, k - 1):
                 ok = False
     # the lattice series read the integer rows Q_t[j] = D_t / (D_j D_(t-j)) and
-    # scale the slopes by D_k; the Bernoulli numbers read the tangent numbers T_h
+    # scale the slopes by D_k; the slopes read the tangent numbers T_h
     top = 60
     d = exact_arith.odd_scales(top)[1]
     try:
@@ -200,7 +200,7 @@ def _check_identities() -> tuple[bool, str]:
     except ArithmeticError:
         ok = False
     ok = ok and all((d[k] * frak_slope(k)).denominator == 1 for k in range(top + 1))
-    ok = ok and [exact_arith._tangent(h) for h in range(1, 6)] == [1, 2, 16, 272, 7936]
+    ok = ok and exact_arith._tangent_numbers(5)[1:] == (1, 2, 16, 272, 7936)
     return ok, (
         f"weighted composition identity k <= n <= 9; D_(x+y)/(D_x D_y) and "
         f"D_k frak_slope(k) integers to {top}; T_1..T_5 = 1, 2, 16, 272, 7936"

@@ -36,8 +36,8 @@ One and two zeros are the first layer.  At x^0, E is B, and
 L_k(n) = [y^n] exp(-k B(y)) takes O(k^2) integer operations on the
 scaled coefficients A_n = n! D_n L_k(n), where D_n, a product of odd
 primes, clears the Bernoulli denominators (_exp_ints).  Its slopes
-c_j = j b(j - 1) are Bernoulli numbers, read from the memoized
-exact_arith.frak_slope.  A single zero, the minimal stratum H(k - 1) and
+c_j = j b(j - 1) are Bernoulli numbers, read from the slope column of
+exact_arith.odd_scales.  A single zero, the minimal stratum H(k - 1) and
 the torus at k = 1, gives
 [y^(k+1)] exp(-k B) / (-k) = -A_(k+1) / (k (k+1)! D_(k+1)).
 
@@ -240,12 +240,9 @@ def _exp_ints(k: int, top: int) -> list[int]:
     Staudt-Clausen), so every term is an integer; a remainder raises
     ArithmeticError.
     """
-    # c_j vanishes for odd j, so every n with E_n != 0 is even.  The
-    # largest B_j first, so a cold call builds one tangent table.
-    exact_arith.bernoulli(top - top % 2)
-    slopes = [(j, c.numerator, c.denominator) for j in range(2, top + 1, 2)
-              for c in (frak_slope(j),)]
-    step = exact_arith.odd_scales(top)[0]
+    # c_j vanishes for odd j, so every n with E_n != 0 is even
+    step, _, _, c = exact_arith.odd_scales(top)
+    slopes = [(j, c[j].numerator, c[j].denominator) for j in range(2, top + 1, 2)]
     a = [1] + [0] * top
     for n in range(2, top + 1, 2):
         # w = D_n/D_(n-j) * (n-1)!/(n-j)!, stepped up from j = 1
@@ -278,8 +275,7 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
     if (k1 + k2) % 2:
         return Fraction(0)  # odd grading
     top = k1 + k2
-    exact_arith.bernoulli(top)  # the largest B_s first: one tangent table
-    step, _, f = exact_arith.odd_scales(top)
+    step, _, f, slope = exact_arith.odd_scales(top)
     # X_u = A_(k-u) * F_k/F_(k-u), F_n = n! D_n a running product
     sides = {k: [a * (f[k] // f[k - u]) for u, a in enumerate(_exp_ints(k, k)[::-1])]
              for k in {k1, k2}}
@@ -288,7 +284,7 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
     total = -common * x[0] * y[0]
     # c_s vanishes for odd s, and X_u for odd k1 - u
     for s in range(2, top + 1, 2):
-        c = frak_slope(s)
+        c = slope[s]
         q = exact_quotient(common, c.denominator, "the denominator of a c_s does not divide Q")
         lo = max(1, s - k2)
         z = sum(x[u] * y[s - u] for u in range(lo + (k1 - lo) % 2, min(k1, s - 1) + 1, 2))
@@ -483,10 +479,10 @@ def principal_volume(g: int) -> PiValue:
 
 def clear_caches() -> None:
     """Drop every memo table of the volume path: volumes here, with the
-    builders preload left unread, the brackets, and the tangent numbers
-    with the Bernoulli numbers, slopes and scales.  The reference layer
-    (wick, f_expansion) and the sums in tests/oracles.py keep tables of
-    their own, which oracles.clear() empties."""
+    builders preload left unread, the brackets, and the scales with their
+    slopes and quotient rows.  The reference layer (wick, f_expansion) and
+    the sums in tests/oracles.py keep tables of their own, which
+    oracles.clear() empties."""
     _VOLUME_CACHE.clear()
     bracket.clear_cache()
     exact_arith.clear_cache()

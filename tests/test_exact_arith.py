@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import threading
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -67,22 +67,23 @@ def test_tangent_numbers():
 
 
 @pytest.mark.parametrize("order", [(4, 8, 16, 40, 300, 2), (300, 4, 151, 2)])
-def test_tangent_table_growth_keeps_values(order):
-    # small then large grows the table by doubling; large then small reads
-    # a prefix of it; either way each B_n equals the oracle
+def test_slope_column_growth_keeps_values(order):
+    # small then large grows the scale table by doubling; large then small
+    # reads a prefix of it; either way each B_n, read off the slope column,
+    # equals the oracle, and the column equals a cold build of its length
     clear_caches()
-    assert exact_arith._TANGENTS == ()
+    assert exact_arith._SCALES == ((), (), (), ())
     for n in order:
-        bernoulli.cache_clear()  # force a read of the tangent table
         assert bernoulli(n) == ORACLE_BERNOULLI[n], n
-        assert len(exact_arith._TANGENTS) > n // 2
-    table = exact_arith._TANGENTS
-    assert table == exact_arith._tangent_numbers(len(table) - 1)
+        assert len(exact_arith._SCALES[3]) > n
+    column = exact_arith._SCALES[3]
+    clear_caches()
+    assert exact_arith.odd_scales(len(column) - 1)[3] == column
 
 
 def test_bernoulli_from_concurrent_threads():
     # more threads than cores, switching often, each growing the shared
-    # tangent table to a different size
+    # slope column to a different size
     clear_caches()
     wanted = [[300, 2, 100], [150, 298, 4], [40, 260, 122], [200, 6, 300]]
     results = [None] * len(wanted)
@@ -107,12 +108,15 @@ def test_bernoulli_from_concurrent_threads():
 
 
 def oracle_scales(top):
-    # the columns D_n / D_(n-1), D_n and n! D_n for n = 0 .. top, with
-    # D_n = prod p^floor(n/(p-1)) over the odd primes p, found by trial division
+    # the columns D_n / D_(n-1), D_n, n! D_n and the slopes (-1)^(n/2+1)
+    # (2^n - 2) B_n (0 at odd n) for n = 0 .. top, with D_n = prod
+    # p^floor(n/(p-1)) over the odd primes p, found by trial division
     primes = [p for p in range(3, top + 2, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
     d = [math.prod(p ** (n // (p - 1)) for p in primes) for n in range(top + 1)]
     return ([1] + [d[n] // d[n - 1] for n in range(1, top + 1)], d,
-            [math.factorial(n) * d[n] for n in range(top + 1)])
+            [math.factorial(n) * d[n] for n in range(top + 1)],
+            [0 if n % 2 else (-1) ** (n // 2 + 1) * (2**n - 2) * ORACLE_BERNOULLI[n]
+             for n in range(top + 1)])
 
 
 ORACLE_SCALES = oracle_scales(300)
@@ -125,10 +129,11 @@ def oracle_row(t):
 
 @pytest.mark.parametrize("order", [(0, 1, 2, 5, 17, 40, 100, 300), (300, 3), (7, 300)])
 def test_scale_table_growth_matches_prime_products(order):
-    # grown in steps or built cold, the three columns agree with the prime
-    # product formula as far as they reach, and with a cold build of their length
+    # grown in steps or built cold, the four columns agree with the prime
+    # product formula and the oracle Bernoulli numbers as far as they reach,
+    # and with a cold build of their length
     clear_caches()
-    assert exact_arith._SCALES == ((), (), ())
+    assert exact_arith._SCALES == ((), (), (), ())
     for n in order:
         columns = exact_arith.odd_scales(n)
         assert all(len(column) == len(columns[0]) > n for column in columns)
@@ -184,6 +189,15 @@ def test_scale_tables_from_concurrent_threads():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+@pytest.mark.parametrize("fn", [bernoulli, frak_slope, zeta_even, frak_z])
+@pytest.mark.parametrize("k", [True, False, 1.0, 2.0, 2.5])
+def test_integer_arguments_refuse_bool_and_float(fn, k):
+    # refused before any other test: read as ints, bernoulli(True) would
+    # be B_1 = -1/2 and frak_z(2.5) zero, and bernoulli(2.0) a TypeError
+    with pytest.raises(ValueError, match=repr(k)):
+        fn(k)
 
 
 def test_zeta_even_known_values():
@@ -394,6 +408,36 @@ def test_pivalue_decimal_rendering():
         with pytest.raises(ValueError, match="out of decimal range"):
             PiValue(Fraction(1, 3), e).to_decimal(50)
     assert str(PiValue(Fraction(1, 3), 2_000_000).to_decimal(5)) == "1.8547E+994299"
+
+
+def machin_pi(places):
+    # pi to `places` decimal places and a few guard digits, by Machin's
+    # formula pi = 16 arctan(1/5) - 4 arctan(1/239) on scaled integers
+    unit = 10 ** (places + 10)
+
+    def arctan_inv(x):
+        total, power, n = 0, unit // x, 1
+        while power:
+            total += (-1) ** (n // 2) * (power // n)
+            power, n = power // (x * x), n + 2
+        return total
+
+    return Decimal(f"{16 * arctan_inv(5) - 4 * arctan_inv(239)}E-{places + 10}")  # exact
+
+
+@pytest.mark.parametrize("q,e", [(Fraction(1, 135), 4), (Fraction(1, 3), 2),
+                                 (Fraction(7, 9), -2), (Fraction(1), 600)])
+def test_decimal_rendering_is_right_to_the_last_digit(q, e):
+    # every one of the 100 digits, against a pi of 160 places from an
+    # independent series: H(1, 1) is pi^4/135 and the torus pi^2/3
+    pi = machin_pi(160)
+    with localcontext() as ctx:
+        ctx.prec = 150
+        exact = Decimal(q.numerator) / Decimal(q.denominator) * pi**e
+        ctx.prec = 100
+        expected = +exact
+    assert PiValue(q, e).to_decimal(100) == expected
+    assert str(PiValue(q, e).to_decimal(100)) == str(expected)
 
 
 def test_pivalue_to_float():

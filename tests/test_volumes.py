@@ -168,7 +168,7 @@ def support_sum(k):
 
 def oracle_exp_series(k, top):
     # L_k(0..top) by the Fraction recurrence n E_n = -k sum_j j b(j-1) E_(n-j),
-    # with b(v) summed by the Fraction tree series, not read off the slope memo
+    # with b(v) summed by the Fraction tree series, not read off the slope column
     slopes = [(v + 1, (v + 1) * b) for v in range(1, top)
               if (b := oracles.tree_sum((v,)))]
     e = [Fraction(1)] + [Fraction(0)] * top
@@ -188,7 +188,7 @@ EXP_SERIES_CALLS = [(k, top) for k in [*range(1, 62), 151, 301] for top in (k - 
 
 
 def test_exp_series_matches_fraction_recurrence():
-    # small then large grows the slope memo and the tangent table; large
+    # small then large grows the scale table and its slope column; large
     # then small reads a prefix of them
     for calls in (EXP_SERIES_CALLS, EXP_SERIES_CALLS[::-1]):
         clear_caches()
@@ -199,17 +199,19 @@ def test_exp_series_matches_fraction_recurrence():
 
 
 def test_slope_table_growth_and_clear():
-    # the slopes c_j of exp(-k B) are the memoized exact_arith.frak_slope:
-    # each series reads exactly the even j <= top, and the memo grows with top
-    slope = exact_arith.frak_slope
+    # the slopes c_j of exp(-k B) are the fourth column of the scale table:
+    # it grows to cover each top, holds j b(j - 1) at even j and 0 at odd j,
+    # and clear_caches() empties it
     clear_caches()
-    assert slope.cache_info().currsize == 0
+    assert exact_arith._SCALES[3] == ()
     for top in (0, 1, 2, 5, 6, 40, 41, 300):
         oracles.exp_fractions(3, top)
-        assert slope.cache_info().currsize == top // 2
-    assert all(slope(j) == j * oracles.tree_sum((j - 1,)) for j in range(2, 301, 2))
+        assert len(exact_arith._SCALES[3]) > top
+    column = exact_arith._SCALES[3]
+    assert all(column[j] == j * oracles.tree_sum((j - 1,)) for j in range(2, 301, 2))
+    assert not any(column[1::2])
     clear_caches()
-    assert slope.cache_info().currsize == 0
+    assert exact_arith._SCALES[3] == ()
 
 
 def test_slope_table_from_concurrent_threads():
@@ -238,6 +240,27 @@ def test_slope_table_from_concurrent_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == expected
+
+
+def test_volumes_read_the_slope_column_alone(monkeypatch):
+    # the one-zero, two-zero and hypertree loops (H(2, 2, 2) sums the key
+    # (3, 3, 3)) read the slopes from the scale table, never through
+    # bernoulli, and a cold H(119, 119) sweeps the tangent numbers once
+    def refuse(n):
+        raise AssertionError(f"bernoulli({n}) called")
+
+    built = []
+    tangent_numbers = exact_arith._tangent_numbers
+    monkeypatch.setattr(exact_arith, "bernoulli", refuse)
+    monkeypatch.setattr(exact_arith, "_tangent_numbers",
+                        lambda n: built.append(n) or tangent_numbers(n))
+    for degrees, weight in (([598], 600), ([119, 119], 240), ([2, 2, 2], 9)):
+        clear_caches()
+        built.clear()
+        assert volume(degrees, max_weight=weight).value
+        if degrees == [119, 119]:
+            assert built == [120]
+    clear_caches()
 
 
 def test_one_zero_layer_sums_no_bracket_series(monkeypatch):
@@ -326,11 +349,16 @@ def test_two_zero_convolution_checks_its_common_denominator(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_caches()
-    # a slope beyond the primes up to k1 + k2 + 1
-    slope = exact_arith.frak_slope
-    monkeypatch.setattr(volumes, "frak_slope", lambda s: slope(s) / (23 if s > 10 else 1))
-    with pytest.raises(ArithmeticError, match="does not divide"):
-        volumes._two_zero_sum(10, 10)
+    # a slope beyond the primes up to k1 + k2 + 1, in the column it is read from
+    *scales, slopes = exact_arith.odd_scales(20)
+    monkeypatch.setattr(exact_arith, "_SCALES", (*scales, tuple(
+        c / (23 if s > 10 else 1) for s, c in enumerate(slopes))))
+    try:
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            volumes._two_zero_sum(10, 10)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 def test_two_zero_convolution_ignores_a_longer_scale_table():
@@ -628,19 +656,16 @@ def test_relative_error_from_concurrent_threads():
 
 def test_clear_caches_empties_every_memo():
     # every memo of the volume path
-    memos = (exact_arith.bernoulli, exact_arith.frak_slope)
     tables = (bracket._CACHE, bracket._PLANTED, bracket._WEIGHTS, volumes._VOLUME_CACHE)
-    # H(2, 1, 1) sums two bracket series, which read the odd-prime scales
-    # and their quotient rows
+    # H(2, 1, 1) sums two bracket series, which read the odd-prime scales,
+    # the slopes and their quotient rows
     clear_caches()
     volume(Stratum([2, 1, 1]))
-    assert all(m.cache_info().currsize > 0 for m in memos)
     assert all(tables)
-    assert exact_arith._TANGENTS and all(exact_arith._SCALES) and exact_arith._QUOTIENTS
+    assert all(exact_arith._SCALES) and exact_arith._QUOTIENTS
     clear_caches()
-    assert [m.cache_info().currsize for m in memos] == [0, 0]
     assert [len(t) for t in tables] == [0, 0, 0, 0]
-    assert exact_arith._TANGENTS == () and exact_arith._SCALES == ((), (), ())
+    assert exact_arith._SCALES == ((), (), (), ())
     assert exact_arith._QUOTIENTS == {}
 
 
