@@ -30,13 +30,13 @@ above their root satisfy
 
 trees rooted at a vertex give V, the same sum with psi(beta, j), and
 trees rooted at an edge give R^2/2.  A tree has one more vertex than
-edges, so coefficient(m) = -M! [x^M] (V - R^2/2), with M! the product of
+edges, so b(m) = -M! [x^M] (V - R^2/2), with M! the product of
 the factorials of M.  The series are filled over the vectors below M,
 each after every vector below it.  R over a vector of sum S and size C
 survives only when S - C is odd, so R^j there only when j = S - C mod 2.
 One part is the one-vertex tree and two parts one edge, so
 
-    coefficient((v,)) = c(v + 1)/(v + 1),  coefficient((u, v)) = c(u + v) - c(u) c(v).
+    b((v,)) = c(v + 1)/(v + 1),  b((u, v)) = c(u + v) - c(u) c(v).
 
 The series runs on integers (_tree_sum, two or more parts).  With D_n of
 exact_arith.odd_scales, S_a and C_a the sum and size of a vector a and a!
@@ -64,11 +64,10 @@ the vectors below M that no earlier bracket filled, plus M itself, which
 it does not keep.  Each entry is built locally and published by one
 assignment, so concurrent callers may fill a vector twice but always read
 equal series.  The Wick and volume layers read _coefficient(), the
-rational entry memoized on the sorted multiset, unchecked on the keys they
-build.  Its public name coefficient() checks its key with
-combinatorics.canonical on every call, as single_bracket and error_term,
-which take m in any order, check theirs; canonical refuses a float, bool
-or str part.
+rational b(m) = single_bracket(m).q memoized on the sorted multiset,
+unchecked on the keys they build.  The public single_bracket and
+error_term take m in any order and check it on every call, as
+combinatorics.canonical, which refuses a float, bool or str part.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ from typing import Iterable
 from .combinatorics import canonical
 from .exact_arith import PiValue, exact_quotient, frak_slope, odd_quotients, odd_scales
 
-__all__ = ["single_bracket", "error_term", "coefficient", "clear_cache"]
+__all__ = ["single_bracket", "error_term", "clear_cache"]
 
 # sorted multiset -> rational coefficient of pi^(|m| - n + 2)
 _CACHE: dict[tuple[int, ...], Fraction] = {}
@@ -178,18 +177,9 @@ def error_term(m: Iterable[int]) -> PiValue:
     return PiValue(_coefficient(mm) - lead, exponent)
 
 
-def coefficient(mm: tuple[int, ...]) -> Fraction:
-    """Rational coefficient of single_bracket(mm) at pi^(|mm| - len(mm) + 2)
-    for a canonical mm, a nonempty tuple of positive ints sorted in
-    decreasing order: checked on every call (ValueError otherwise)."""
-    if mm != canonical(mm):
-        raise ValueError(f"coefficient needs a canonical multiset: {mm!r}")
-    return _coefficient(mm)
-
-
 def _coefficient(mm: tuple[int, ...]) -> Fraction:
-    """coefficient(mm) for a canonical mm, unchecked: the memo read of the
-    package's own callers, which build canonical keys.  At an odd exponent
+    """single_bracket(mm).q for a canonical mm, unchecked: the memo read of
+    the package's own callers, which build canonical keys.  At an odd exponent
     the coefficient is 0 by the grading, one and two parts read the closed
     forms in the slopes, and more than two sum the tree series once
     (module docstring).

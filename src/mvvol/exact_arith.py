@@ -82,17 +82,18 @@ class PiValue:
     __slots__ = ("q", "e")
 
     def __init__(self, q: RationalLike, exponent: int = 0):
-        """q * pi^exponent.  q must be an int or a Fraction (TypeError
-        otherwise, checked first); a nonzero q needs an even int exponent
-        (ValueError otherwise), while a zero q gives zero whatever the
-        exponent, as a grading may assign an odd one to a vanishing sum."""
-        if isinstance(q, int):
+        """q * pi^exponent.  q must be an int or a Fraction, not a bool
+        (TypeError otherwise, checked first); a nonzero q needs an even int
+        exponent, not a bool (ValueError otherwise), while a zero q gives
+        zero whatever the exponent, as a grading may assign an odd one to a
+        vanishing sum."""
+        if isinstance(q, int) and not isinstance(q, bool):
             q = Fraction(q)
         elif not isinstance(q, Fraction):
             raise TypeError(f"expected an exact rational, got {type(q).__name__}")
         if not q:
             exponent = 0
-        elif not isinstance(exponent, int) or exponent % 2 != 0:
+        elif type(exponent) is not int or exponent % 2 != 0:
             raise ValueError(f"pi-exponent must be an even integer, got {exponent!r}")
         self.q = q
         self.e = exponent
@@ -180,10 +181,11 @@ class PiValue:
         return f"PiValue({self})"
 
     def to_decimal(self, digits: int = 50) -> Decimal:
-        """Evaluate to a Decimal with `digits` significant digits (<= 100);
-        ValueError when the value or pi^e leaves Decimal's exponent range."""
-        if not 1 <= digits <= 100:
-            raise ValueError("digits must be between 1 and 100")
+        """Evaluate to a Decimal with `digits` significant digits, an int in
+        1..100 (ValueError otherwise, a bool included); ValueError when the
+        value or pi^e leaves Decimal's exponent range."""
+        if type(digits) is not int or not 1 <= digits <= 100:
+            raise ValueError(f"digits must be an int between 1 and 100: {digits!r}")
         with localcontext() as ctx:
             ctx.prec = digits + 15
             ctx.traps[Underflow] = True

@@ -52,7 +52,9 @@ convolution Z of X_u = k1! D_k1 L_{k1}(k1 - u) = A_(k1-u) k1! D_k1 /
 (_two_zero_sum); the slopes share one denominator and one Fraction is
 built at the end.  The hypertree loop sums three or more zeros.  In a
 principal stratum L_2(1) = 0 makes every zero a leaf handing up u = 2,
-and the sum is the one bracket b(2, ..., 2), which c_value reads.
+and the sum is the one bracket b(2, ..., 2).  c_value alone picks these
+sums, in this order, by the shape of its key, after a key of odd grading
+|a| - n + 2, where every term vanishes, returns zero before any sum runs.
 
 The hypertree loop runs on integers.  With w(a) = sum_d a_d k_d and a!
 the product of the factorials of a count vector a, a coefficient X at a
@@ -271,9 +273,8 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
     the steps D_n/D_(n-1) up to k1 + k2; a slope whose denominator does not
     divide Q raises ArithmeticError.  Both series read the scales of
     exact_arith.odd_scales, and one series serves both zeros when k1 == k2.
+    At an odd k1 + k2 every term vanishes, and the sum is Fraction(0).
     """
-    if (k1 + k2) % 2:
-        return Fraction(0)  # odd grading
     top = k1 + k2
     step, _, f, slope = exact_arith.odd_scales(top)
     # X_u = A_(k-u) * F_k/F_(k-u), F_n = n! D_n a running product
@@ -293,21 +294,20 @@ def _two_zero_sum(k1: int, k2: int) -> Fraction:
 
 
 def _hypertree_sum(key: tuple[int, ...]) -> Fraction:
-    """c_value(key) * |key|! * prod key for the sorted degrees key, summed
-    over the vectors below M - e_0 on the integers X~ (module docstring).
-    They are numbered in mixed radix, last degree fastest, so a - b sits at
-    i - g when a sits at i and b at g.  A vector a gets S_u, then P_q, then
-    |a| E where it is read (y^2 .. y^(k_0 - 1), and y^(k_0 + 1) on the last
-    vector: exp(-k E) has no y^1 term), then exp(-k E) for the degrees with
-    a zero left to place above a, by |q| P_q = sum_u S_u P_(q-e_u) and
+    """c_value(key) * |key|! * prod key for the sorted degrees key, two or
+    more of them, summed over the vectors below M - e_0 on the integers X~
+    (module docstring), numbered in mixed radix, last degree fastest, so
+    a - b sits at i - g when a sits at i and b at g.  A vector a gets S_u,
+    then P_q, then |a| E where it is read (y^2 .. y^(k_0 - 1), and
+    y^(k_0 + 1) on the last vector: exp(-k E) has no y^1 term), then
+    exp(-k E) for the degrees with a zero left to place above a, by
+    |q| P_q = sum_u S_u P_(q-e_u) and
     |a| exp(-k E) = -k sum_(0 < b <= a) |b| E_b exp(-k E)_(a-b).
     """
     degrees, target = zip(*((k, len(list(run))) for k, run in groupby(key)))
     target = [target[0] - 1, *target[1:]]
     k0, top_t = degrees[0], sum(key) + 1
     scales = exact_arith.odd_scales(top_t)[2]  # t! D_t
-    if not any(target):
-        return Fraction(-_exp_ints(k0, k0 + 1)[k0 + 1], k0 * scales[k0 + 1])
     strides = [math.prod(t + 1 for t in target[d + 1:]) for d in range(len(target))]
     top = math.prod(t + 1 for t in target) - 1
     exps: list = [[_exp_ints(k, k - 1) for k in degrees]]  # exp(-k_d E), by d
@@ -386,23 +386,26 @@ def c_value(m: Iterable[int]) -> PiValue:
     m is a nonempty multiset of positive ints in any order, checked by
     combinatorics.canonical: a float, bool or str part raises ValueError
     rather than being truncated.  Not memoized itself: volume() keeps each
-    stratum's value.  One zero reads the integer exp(-k B) series at
-    y^(k+1), two zeros are one integer convolution of two such series
-    (_two_zero_sum), a principal stratum (every entry 2) is the one
-    bracket b(2, ..., 2), and the rest run the hypertree loop, whose
-    brackets are memoized in bracket (module docstring); pi is attached
-    once.
+    stratum's value.  The one dispatch by shape: an odd grading is zero
+    before any sum runs, then one zero reads the exp(-k B) series, two the
+    convolution, (2, ..., 2) the bracket and the rest the hypertree loop
+    (module docstring); pi is attached once.
     """
     key = canonical(m)
-    denom = math.factorial(sum(key)) * math.prod(key)
-    if len(key) == 2:
+    # the sum is a monomial in pi^(|a| - n + 2), by grading
+    exponent = sum(key) - len(key) + 2
+    if exponent % 2:
+        return PiValue(0)
+    if len(key) == 1:
+        k = key[0]
+        total = Fraction(-_exp_ints(k, k + 1)[k + 1], k * exact_arith.odd_scales(k + 1)[2][k + 1])
+    elif len(key) == 2:
         total = _two_zero_sum(*key)
     elif key[0] == key[-1] == 2:
         total = bracket._coefficient(key)
     else:
         total = _hypertree_sum(key)
-    # the sum is a monomial in pi^(|a| - n + 2), by grading
-    return PiValue(total / denom, sum(key) - len(key) + 2)
+    return PiValue(total / (math.factorial(sum(key)) * math.prod(key)), exponent)
 
 
 def prediction(s: StratumLike) -> Fraction:
@@ -433,24 +436,24 @@ def volume(s: StratumLike, max_weight: int = DEFAULT_MAX_WEIGHT) -> VolumeResult
     memoized per stripped stratum.
 
     A builder the memo holds (preload) is replaced by the value it builds;
-    a stratum the memo lacks is computed.  Raises InvalidStratumError for
-    bad degrees and InfeasibleSizeError when sum (m_i + 1) over positive
-    degrees exceeds max_weight.
+    a stratum the memo lacks is computed.  Raises ValueError unless
+    max_weight is an int >= 1, so the torus, of weight 0, is never refused;
+    InvalidStratumError for bad degrees; and InfeasibleSizeError when
+    sum (m_i + 1) over positive degrees exceeds max_weight.
     """
+    if type(max_weight) is not int or max_weight < 1:
+        raise ValueError(f"max_weight must be an int >= 1: {max_weight!r}")
     st = _as_stratum(s)
     start = time.perf_counter()
     key = st.stripped
     value = _VOLUME_CACHE.get(key)
     if value is None:
-        if key:
-            weight = sum(d + 1 for d in key)
-            if weight > max_weight:
-                raise InfeasibleSizeError(weight, max_weight)
-            value = 2 * c_value([d + 1 for d in key])
-        else:
-            value = 2 * c_value((1,))  # torus convention: H() and H(0,...)
-        q, e = value.monomial()
-        if q <= 0 or e != 2 * st.genus:
+        weight = sum(d + 1 for d in key)
+        if weight > max_weight:
+            raise InfeasibleSizeError(weight, max_weight)
+        # torus convention: H() and H(0, ...) read c_value((1,))
+        value = 2 * c_value([d + 1 for d in key] or [1])
+        if not (value.q > 0 and value.e == 2 * st.genus):
             raise AssertionError(f"volume of {st} violates the pi^(2g) form: {value}")
         _VOLUME_CACHE[key] = value
     elif not isinstance(value, PiValue):

@@ -31,7 +31,8 @@ product, so the sum runs over distributions of the multiset R, weighted by
 a multinomial per distinct argument; it is taken slot by slot as a product
 of generating series in the argument counts, truncated at R.  The root is
 the longest argument; when every argument has one part the only complement
-is a single block, so W = bracket.coefficient(all values).
+is a single block, so W = b(all values), the rational coefficient of the
+bracket (bracket._coefficient).
 
 Coefficients are memoized on the sorted argument tuple (the correlator is
 symmetric in its arguments), one entry per tuple that the recursion or a

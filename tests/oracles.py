@@ -2,7 +2,7 @@
 
 tree_sum is the bracket series of mvvol.bracket (module docstring there),
 
-    coefficient(m) = -M! [x^M] (V - R^2/2),
+    b(m) = single_bracket(m).q = -M! [x^M] (V - R^2/2),
 
 summed on Fractions for any canonical multiset, one part included, with
 block weights psi(beta, .)/(j! beta!) as Fractions.  The package sums the
@@ -14,8 +14,9 @@ and the memos of the package's reference layer, wick and f_expansion,
 which volumes.clear_caches() leaves alone.
 
 hypertree_sum is the hypertree loop of mvvol.volumes (module docstring
-there), c_value(key) * |key|! * prod key, summed on Fractions.  It reads
-the brackets through mvvol.bracket.coefficient and exp(-k B) through
+there), c_value(key) * |key|! * prod key, summed on Fractions, one zero
+included.  It reads the brackets through mvvol.bracket._coefficient on
+the canonical keys it builds, and exp(-k B) through
 mvvol.volumes._exp_ints, which the tests check against oracles of their
 own.  The package sums the same loop on integers scaled per count vector
 and weight.
@@ -205,7 +206,7 @@ def hypertree_sum(key: tuple[int, ...]) -> Fraction:
         slope = []
         for j in [*range(2 + odd, k0, 2), *([k0 + 1] if i == top else [])]:
             e = sum(b * p for q, p in power.items()
-                    if (b := bracket.coefficient(tuple(sorted((j - 1, *q), reverse=True)))))
+                    if (b := bracket._coefficient(tuple(sorted((j - 1, *q), reverse=True)))))
             if e:
                 slope.append((j, e * size))
         slopes.append(slope)

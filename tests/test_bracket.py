@@ -192,7 +192,7 @@ def test_closed_forms_match_tree_sum_and_oracle():
     cases = [(v,) for v in range(1, 61)]
     cases += [(u, v) for u in range(1, 41) for v in range(1, u + 1)]
     for m in cases:
-        q = bracket.coefficient(m)
+        q = single_bracket(m).q
         assert type(q) is Fraction, m
         assert q == oracles.tree_sum(m), m
         exponent = sum(m) - len(m) + 2
@@ -215,7 +215,7 @@ def test_integer_series_matches_fraction_oracle():
     oracles.clear()
     for m in cases:
         assert same_fraction(bracket._tree_sum(m), oracles.tree_sum(m)), m
-        assert bracket.coefficient(m) == oracles.tree_sum(m), m
+        assert single_bracket(m).q == oracles.tree_sum(m), m
 
 
 def test_integer_series_matches_oracle_on_shared_cases_in_both_orders():
@@ -284,11 +284,11 @@ def test_shared_table_does_not_depend_on_order():
     runs = []
     for order in (cases, cases[::-1]):
         clear_cache()
-        runs.append({m: bracket.coefficient(m) for m in order})
+        runs.append({m: single_bracket(m).q for m in order})
     isolated = {}
     for m in cases:
         clear_cache()
-        isolated[m] = bracket.coefficient(m)
+        isolated[m] = single_bracket(m).q
     assert runs[0] == runs[1] == isolated
     assert any(isolated.values())
 
@@ -297,10 +297,10 @@ def test_shared_table_fills_only_new_vectors():
     # every vector below M is kept, M itself is not: after (3^8) the table
     # holds (3^1) .. (3^7), and (3^9) adds (3^8) alone
     clear_cache()
-    assert bracket.coefficient((3,) * 8)
+    assert single_bracket((3,) * 8).q
     assert sorted(bracket._PLANTED) == [(3,) * n for n in range(1, 8)]
     kept = dict(bracket._PLANTED)
-    assert bracket.coefficient((3,) * 9)
+    assert single_bracket((3,) * 9).q
     assert sorted(bracket._PLANTED) == [(3,) * n for n in range(1, 9)]
     assert all(bracket._PLANTED[k] is v for k, v in kept.items())
     # R^0 .. R^|a| at each kept vector
@@ -312,12 +312,12 @@ def test_shared_table_from_concurrent_threads():
     # brackets into one table that starts empty; five rounds
     cases = shared_table_cases()
     clear_cache()
-    expected = {m: bracket.coefficient(m) for m in cases}
+    expected = {m: single_bracket(m).q for m in cases}
     work = [cases[i::4] + cases[::-1] for i in range(4)]
 
     def run(i):
         barrier.wait()
-        results[i] = {m: bracket.coefficient(m) for m in work[i]}
+        results[i] = {m: single_bracket(m).q for m in work[i]}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -353,22 +353,24 @@ def test_non_integer_parts_refused():
         error_term(["3", 1])
 
 
-def test_coefficient_checks_its_key_on_every_call():
-    # a key that is not canonical is refused before anything is memoized,
+def test_single_bracket_checks_its_key_on_every_call():
+    # a zero, float or bool part is refused before anything is memoized,
     # and again once the memo holds an equal canonical key: (True, True)
-    # == (1, 1) and hashes like it, and a list is unhashable
+    # == (1, 1) and hashes like it; error_term reads the same check
     clear_cache()
-    keys = ((3, 0), (4, 1, 0), (2.5, 2.5), (1, 3), (True, True), [2, 2])
-    for mm in keys:
-        with pytest.raises(ValueError):
-            bracket.coefficient(mm)
+    keys = ((3, 0), (4, 1, 0), (2.5, 2.5), (True, True), (2, True), ())
+    for entry in (single_bracket, error_term):
+        for mm in keys:
+            with pytest.raises(ValueError):
+                entry(mm)
     assert not bracket._CACHE
-    assert bracket.coefficient((3, 1)) == Fraction(7, 15)
-    assert (bracket.coefficient((1, 1)), bracket.coefficient((2, 2))) == (
+    assert single_bracket((3, 1)).q == single_bracket([1, 3]).q == Fraction(7, 15)
+    assert (single_bracket((1, 1)).q, single_bracket((2, 2)).q) == (
         Fraction(1, 3), Fraction(16, 45))
-    for mm in keys:
-        with pytest.raises(ValueError):
-            bracket.coefficient(mm)
+    for entry in (single_bracket, error_term):
+        for mm in keys:
+            with pytest.raises(ValueError):
+                entry(mm)
 
 
 def test_error_bound_for_parts_at_least_two():

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import mvvol
+from mvvol import bracket
 
 PACKAGE = Path(mvvol.__file__).resolve().parent
 REFERENCE = ("mvvol.wick", "mvvol.f_expansion")
@@ -102,3 +103,11 @@ def test_public_names_are_pinned():
     assert all(hasattr(mvvol, name) for name in mvvol.__all__)
     for name in ("capital_f", "multi_bracket", "partitions_of_weight"):
         assert not hasattr(mvvol, name), name
+
+
+def test_bracket_names_are_pinned():
+    # single_bracket is the checked entry, its .q the rational view; the
+    # unchecked memo read _coefficient stays private
+    assert bracket.__all__ == ["single_bracket", "error_term", "clear_cache"]
+    assert all(hasattr(bracket, name) for name in bracket.__all__)
+    assert not hasattr(bracket, "coefficient")

@@ -16,6 +16,7 @@ from mvvol import bracket, exact_arith, f_expansion, volumes, wick
 from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
 from mvvol.f_expansion import capital_f
+from mvvol.siegel_veech import sc_constant
 from mvvol.volumes import (
     DEFAULT_MAX_WEIGHT,
     InfeasibleSizeError,
@@ -85,10 +86,20 @@ def test_c_value_frozen():
     assert c_value((2, 2)) == mono(1, 270, 4)
 
 
-def test_c_value_odd_grading_is_zero():
-    # |a| - n + 2 odd: no pi-exponent is available, so the value vanishes
-    for a in ((2,), (4,), (1, 2), (2, 2, 2)):
-        assert c_value(a).is_zero(), a
+def refuse_sum(*args):
+    raise AssertionError(f"sum run for {args}")
+
+
+def test_c_value_odd_grading_is_zero(monkeypatch):
+    # |a| - n + 2 odd: no pi-exponent is available, so the value vanishes;
+    # c_value returns it on the grading alone, whichever sum the shape of
+    # one zero, two zeros, all twos or three or more zeros would pick
+    for name in ("_exp_ints", "_two_zero_sum", "_hypertree_sum"):
+        monkeypatch.setattr(volumes, name, refuse_sum)
+    monkeypatch.setattr(bracket, "_coefficient", refuse_sum)
+    for a in ((2,), (4,), (1, 2), (4, 3), (2, 2, 2), (9, 9, 9, 8), (3,) * 9 + (2,)):
+        value = c_value(a)
+        assert value == PiValue(0) and (value.q, value.e) == (0, 0), a
 
 
 # -- c_value against the grouped-support Wick sum --------------------------------
@@ -401,9 +412,9 @@ def test_principal_stratum_reads_one_bracket(monkeypatch):
 
 
 # two zeros, (2^n), every key of 3-6 entries in 1..5, and of 3-7 entries
-# in 2..6 with |key| - n <= 18
+# in 2..6 with |key| - n <= 18; the loop takes two or more zeros
 LOOP_KEYS = list(dict.fromkeys([(k1, k2) for k1 in range(1, 41) for k2 in range(1, k1 + 1)] + [
-    (2,) * n for n in range(1, 15)] + [
+    (2,) * n for n in range(2, 15)] + [
     key for n in range(3, 7) for key in combinations_with_replacement(range(5, 0, -1), n)] + [
     key for n in range(3, 8) for key in combinations_with_replacement(range(6, 1, -1), n)
     if sum(key) - n <= 18]))
@@ -424,6 +435,16 @@ def test_hypertree_loop_matches_fraction_oracle():
     clear_caches()
     for key in LOOP_KEYS:
         assert_same_fraction(volumes._hypertree_sum(key), oracles.hypertree_sum(key), key)
+
+
+def test_one_zero_reads_the_exp_series_alone(monkeypatch):
+    # c_value of one zero is -A_(k+1) / (k (k+1)! D_(k+1)) from _exp_ints,
+    # against the one-zero branch of the Fraction loop
+    monkeypatch.setattr(volumes, "_hypertree_sum", refuse_sum)
+    monkeypatch.setattr(volumes, "_two_zero_sum", refuse_sum)
+    clear_caches()
+    for k in range(1, 61):
+        assert c_value((k,)) == oracle_c_value((k,)), k
 
 
 def test_hypertree_strata_match_fraction_oracle():
@@ -588,6 +609,32 @@ def test_volume_accepts_bare_degree_lists():
 def test_volume_torus_convention():
     assert volume(Stratum([])).value == mono(1, 3, 2)
     assert volume(Stratum([0, 0, 0])).value == mono(1, 3, 2)
+    # weight 0 is under every bound volume() accepts
+    clear_caches()
+    assert volume(Stratum([0]), max_weight=1).value == mono(1, 3, 2)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: PiValue(True, 2), TypeError, id="pivalue-bool-q"),
+    pytest.param(lambda: PiValue(1, False), ValueError, id="pivalue-bool-exponent"),
+    pytest.param(lambda: PiValue(1, 2.0), ValueError, id="pivalue-float-exponent"),
+    pytest.param(lambda: PiValue(1, 2).to_decimal(True), ValueError, id="digits-bool"),
+    pytest.param(lambda: PiValue(1, 2).to_decimal(2.5), ValueError, id="digits-float"),
+    pytest.param(lambda: PiValue(1, 2).to_decimal(0), ValueError, id="digits-zero"),
+    pytest.param(lambda: volume([3, 1], max_weight=True), ValueError, id="max-weight-bool"),
+    pytest.param(lambda: volume([3, 1], max_weight=2.5), ValueError, id="max-weight-float"),
+    pytest.param(lambda: volume([3, 1], max_weight=None), ValueError, id="max-weight-none"),
+    pytest.param(lambda: volume([], max_weight=0), ValueError, id="max-weight-zero"),
+    pytest.param(lambda: sc_constant([1, 1], 1, 2, max_weight=True), ValueError,
+                 id="sv-max-weight-bool"),
+])
+def test_entry_points_refuse_bools_and_floats(call, error):
+    # H(3,1), H(1,1), H(2) and the torus are held: the bound is checked before
+    # the memo is read
+    for degrees in ([3, 1], [1, 1], [2], []):
+        volume(degrees)
+    with pytest.raises(error):
+        call()
 
 
 def test_marked_points_do_not_change_volume():

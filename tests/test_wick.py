@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 import pytest
 
 import mvvol.wick as wick
-from mvvol.bracket import coefficient, single_bracket
+from mvvol.bracket import single_bracket
 from mvvol.combinatorics import partitions_of_size
 from mvvol.exact_arith import PiValue
 from mvvol.wick import multi_bracket
@@ -192,7 +192,7 @@ def oracle_coefficient(args):
     for alpha in complementary_partitions(slot_map.rho):
         prod = Fraction(1)
         for block in alpha:
-            prod *= coefficient(tuple(sorted(slot_map.values_in(block), reverse=True)))
+            prod *= single_bracket(slot_map.values_in(block)).q
             if not prod:
                 break
         total += prod
